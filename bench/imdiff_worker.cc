@@ -36,6 +36,8 @@
 #include "core/imdiffusion.h"
 #include "serve/worker.h"
 #include "utils/check.h"
+#include "utils/logging.h"
+#include "utils/metrics.h"
 
 namespace imdiff {
 namespace {
@@ -122,7 +124,15 @@ int Main(int argc, char** argv) {
   options.serve.session.online.context = context;
   options.serve.session.seed_base = seed;
   options.serve.batch.flush_window_seconds = flush_ms / 1000.0;
-  return serve::RunShardWorker(options);
+  const int code = serve::RunShardWorker(options);
+  if (code == serve::kWorkerExitOk &&
+      MetricsRegistry::Global()
+              .GetCounter("graph.validation_failures")
+              ->value() > 0) {
+    IMDIFF_LOG(Error) << "graph executor diverged from the layer stack";
+    return serve::kWorkerExitGraphDiverged;
+  }
+  return code;
 }
 
 }  // namespace

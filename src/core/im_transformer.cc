@@ -140,9 +140,7 @@ Var ImTransformer::Forward(const Tensor& x_masked, const Tensor& noise_ref,
 
     // Gated activation (DiffWave): tanh(filter) * sigmoid(gate).
     Var fg = block.gate_proj->Forward(h_in);  // [B, K*L, 2D]
-    Var filter = SliceV(fg, 2, 0, d);
-    Var gate = SliceV(fg, 2, d, d);
-    Var gated = Mul(TanhV(filter), SigmoidV(gate));
+    Var gated = GateV(fg);                     // [B, K*L, D]
 
     // Residual + skip split.
     Var rs = block.out_proj->Forward(gated);  // [B, K*L, 2D]

@@ -993,19 +993,13 @@ struct GraphContext::Impl {
         case OpKind::kGate: {
           const float* fg = Buf(op.src);
           float* out = Buf(op.dst);
+          // Same row kernel as the stack's GateForward (tensor_ops.cc).
           ParallelForRange(
               ComputePool(), static_cast<size_t>(op.rows), gemm::RowGrain(8 * D),
               [&](size_t begin, size_t end) {
-                for (int64_t r = static_cast<int64_t>(begin);
-                     r < static_cast<int64_t>(end); ++r) {
-                  const float* frow = fg + r * 2 * D;
-                  float* orow = out + r * D;
-                  for (int64_t j = 0; j < D; ++j) {
-                    const float tf = std::tanh(frow[j]);
-                    const float sg = 1.0f / (1.0f + std::exp(-frow[D + j]));
-                    orow[j] = tf * sg;
-                  }
-                }
+                const auto r0 = static_cast<int64_t>(begin);
+                simd::GateRowsInto(out + r0 * D, fg + r0 * 2 * D,
+                                   static_cast<int64_t>(end) - r0, D);
               });
           break;
         }

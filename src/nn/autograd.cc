@@ -313,11 +313,10 @@ Var GatherRowsV(const Var& table, const std::vector<int64_t>& indices) {
 
 namespace {
 
-// Generic unary op: value = f(x); backward multiplies the incoming grad by
-// dfdx computed from the saved input and output.
-Var UnaryOp(const Var& a, const std::function<float(float)>& f,
+// Generic unary op with a precomputed value = f(x); backward multiplies the
+// incoming grad by dfdx computed from the saved input and output.
+Var UnaryOp(const Var& a, Tensor value,
             std::function<float(float x, float y)> dfdx) {
-  Tensor value = Map(a.value(), f);
   Tensor saved_y = value;
   return MakeOp(std::move(value), {a.node()},
                 [saved_y, dfdx = std::move(dfdx)](VarNode& n) {
@@ -339,7 +338,7 @@ Var UnaryOp(const Var& a, const std::function<float(float)>& f,
 
 Var ReluV(const Var& a) {
   return UnaryOp(
-      a, [](float x) { return x > 0.0f ? x : 0.0f; },
+      a, Map(a.value(), [](float x) { return x > 0.0f ? x : 0.0f; }),
       [](float x, float) { return x > 0.0f ? 1.0f : 0.0f; });
 }
 
@@ -357,30 +356,37 @@ Var SiluV(const Var& a) {
 }
 
 Var TanhV(const Var& a) {
-  return UnaryOp(
-      a, [](float x) { return std::tanh(x); },
-      [](float, float y) { return 1.0f - y * y; });
+  return UnaryOp(a, TanhForward(a.value()),
+                 [](float, float y) { return 1.0f - y * y; });
 }
 
 Var SigmoidV(const Var& a) {
-  return UnaryOp(
-      a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); },
-      [](float, float y) { return y * (1.0f - y); });
+  return UnaryOp(a, SigmoidForward(a.value()),
+                 [](float, float y) { return y * (1.0f - y); });
+}
+
+Var GateV(const Var& fg) {
+  // The backward recomputes tanh/sigmoid from the saved input rather than
+  // keeping two [..., D] intermediates alive until Backward.
+  return MakeOp(GateForward(fg.value()), {fg.node()}, [](VarNode& n) {
+    n.parents[0]->AccumulateGrad(GateBackward(n.parents[0]->value, n.grad));
+  });
 }
 
 Var ExpV(const Var& a) {
   return UnaryOp(
-      a, [](float x) { return std::exp(x); },
+      a, Map(a.value(), [](float x) { return std::exp(x); }),
       [](float, float y) { return y; });
 }
 
 Var SoftplusV(const Var& a) {
   return UnaryOp(
       a,
-      [](float x) {
-        // Numerically stable softplus.
-        return x > 20.0f ? x : std::log1p(std::exp(x));
-      },
+      Map(a.value(),
+          [](float x) {
+            // Numerically stable softplus.
+            return x > 20.0f ? x : std::log1p(std::exp(x));
+          }),
       [](float x, float) { return 1.0f / (1.0f + std::exp(-x)); });
 }
 

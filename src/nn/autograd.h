@@ -112,6 +112,9 @@ Var GeluV(const Var& a);    // tanh approximation
 Var SiluV(const Var& a);    // x * sigmoid(x)
 Var TanhV(const Var& a);
 Var SigmoidV(const Var& a);
+// DiffWave gated activation: fg [..., 2D] -> tanh(fg[..., :D]) *
+// sigmoid(fg[..., D:]) of shape [..., D], one fused kernel each way.
+Var GateV(const Var& fg);
 Var ExpV(const Var& a);
 Var SoftplusV(const Var& a);
 Var SoftmaxV(const Var& a);  // last dim

@@ -186,13 +186,15 @@ inline float SigmoidScalar(float x) {
 inline constexpr float kGeluCoef = 0.7978845608028654f;  // sqrt(2/pi)
 inline constexpr float kGeluCubic = 0.044715f;
 
+// The cubic term is kGeluCubic * (x * x), associated exactly as in VGelu /
+// VGeluGrad, so a scalar tail rounds like a vector lane.
 inline float GeluScalar(float x) {
-  const float inner = kGeluCoef * Madd(kGeluCubic * x * x, x, x);
+  const float inner = kGeluCoef * Madd(kGeluCubic * (x * x), x, x);
   return 0.5f * x * (1.0f + TanhScalar(inner));
 }
 
 inline float GeluGradScalar(float x) {
-  const float inner = kGeluCoef * Madd(kGeluCubic * x * x, x, x);
+  const float inner = kGeluCoef * Madd(kGeluCubic * (x * x), x, x);
   const float t = TanhScalar(inner);
   const float dinner = kGeluCoef * Madd(3.0f * kGeluCubic * x, x, 1.0f);
   return Madd(0.5f * x * (1.0f - t * t), dinner, 0.5f * (1.0f + t));
@@ -203,6 +205,19 @@ inline float SiluScalar(float x) { return x * SigmoidScalar(x); }
 inline float SiluGradScalar(float x) {
   const float s = SigmoidScalar(x);
   return s * Madd(x, 1.0f - s, 1.0f);
+}
+
+// DiffWave gated activation tanh(f) * sigmoid(g), and its gradients for an
+// incoming grad gr: df = (gr * s) * (1 - t^2), dg = (gr * t) * (s * (1 - s)).
+inline float GateScalar(float f, float g) {
+  return TanhScalar(f) * SigmoidScalar(g);
+}
+
+inline void GateGradScalar(float f, float g, float gr, float* df, float* dg) {
+  const float t = TanhScalar(f);
+  const float s = SigmoidScalar(g);
+  *df = (gr * s) * (1.0f - t * t);
+  *dg = (gr * t) * (s * (1.0f - s));
 }
 
 // ---- Vector type ------------------------------------------------------------
@@ -686,6 +701,8 @@ inline VecF VGeluGrad(VecF x) {
 
 inline VecF VSilu(VecF x) { return VMul(x, VSigmoid(x)); }
 
+inline VecF VGate(VecF f, VecF g) { return VMul(VTanh(f), VSigmoid(g)); }
+
 inline VecF VSiluGrad(VecF x) {
   const VecF s = VSigmoid(x);
   return VMul(s, VFma(x, VSub(VSet1(1.0f), s), VSet1(1.0f)));
@@ -764,6 +781,135 @@ inline void TanhInto(float* out, const float* x, int64_t n) {
   }
 #endif
   for (int64_t i = 0; i < n; ++i) out[i] = TanhScalar(x[i]);
+}
+
+inline void SigmoidInto(float* out, const float* x, int64_t n) {
+#if defined(IMDIFF_SIMD_ANY)
+  if (Enabled() && n >= kVectorWidth) {
+    int64_t i = 0;
+    for (; i + kVectorWidth <= n; i += kVectorWidth) {
+      VStore(out + i, VSigmoid(VLoad(x + i)));
+    }
+    for (; i < n; ++i) out[i] = SigmoidScalar(x[i]);
+    return;
+  }
+#endif
+  for (int64_t i = 0; i < n; ++i) out[i] = SigmoidScalar(x[i]);
+}
+
+// out[i] = tanh(f[i]) * sigmoid(g[i]).
+inline void GateInto(float* out, const float* f, const float* g, int64_t n) {
+#if defined(IMDIFF_SIMD_ANY)
+  if (Enabled() && n >= kVectorWidth) {
+    int64_t i = 0;
+    for (; i + kVectorWidth <= n; i += kVectorWidth) {
+      VStore(out + i, VGate(VLoad(f + i), VLoad(g + i)));
+    }
+    for (; i < n; ++i) out[i] = GateScalar(f[i], g[i]);
+    return;
+  }
+#endif
+  for (int64_t i = 0; i < n; ++i) out[i] = GateScalar(f[i], g[i]);
+}
+
+// Gradients of GateInto for incoming grads gr (see GateGradScalar).
+inline void GateGradInto(float* df, float* dg, const float* f, const float* g,
+                         const float* gr, int64_t n) {
+#if defined(IMDIFF_SIMD_ANY)
+  if (Enabled() && n >= kVectorWidth) {
+    const VecF one = VSet1(1.0f);
+    int64_t i = 0;
+    for (; i + kVectorWidth <= n; i += kVectorWidth) {
+      const VecF t = VTanh(VLoad(f + i));
+      const VecF s = VSigmoid(VLoad(g + i));
+      const VecF vg = VLoad(gr + i);
+      VStore(df + i, VMul(VMul(vg, s), VSub(one, VMul(t, t))));
+      VStore(dg + i, VMul(VMul(vg, t), VMul(s, VSub(one, s))));
+    }
+    for (; i < n; ++i) GateGradScalar(f[i], g[i], gr[i], df + i, dg + i);
+    return;
+  }
+#endif
+  for (int64_t i = 0; i < n; ++i) {
+    GateGradScalar(f[i], g[i], gr[i], df + i, dg + i);
+  }
+}
+
+// ---- Gated activation over [rows, 2d] rows ------------------------------------
+//
+// The gate's input rows hold the filter half then the gate half, so a row's
+// d filter values are contiguous but rows are 2d apart. With d not a multiple
+// of the lane width (the Fast config's d = 24 under 16 AVX-512 lanes) a
+// per-row loop would spend a third of its elements in the scalar tail. The
+// row kernels instead gather tiles of consecutive rows into contiguous
+// scratch, so the vector body runs on full lanes and at most one short tail
+// remains per tile.
+
+namespace detail {
+inline constexpr int64_t kGateTile = 256;
+
+// Copies flat elements [e0, e0 + m) of the [rows, d] view whose row r starts
+// at src + r * stride into dst.
+inline void GatherRows(float* dst, const float* src, int64_t stride,
+                       int64_t d, int64_t e0, int64_t m) {
+  int64_t r = e0 / d;
+  int64_t j = e0 % d;
+  for (int64_t k = 0; k < m; ++r, j = 0) {
+    const int64_t take = d - j < m - k ? d - j : m - k;
+    std::memcpy(dst + k, src + r * stride + j,
+                static_cast<size_t>(take) * sizeof(float));
+    k += take;
+  }
+}
+
+// Inverse of GatherRows: writes src's m elements back into the strided view.
+inline void ScatterRows(float* dst, int64_t stride, int64_t d,
+                        const float* src, int64_t e0, int64_t m) {
+  int64_t r = e0 / d;
+  int64_t j = e0 % d;
+  for (int64_t k = 0; k < m; ++r, j = 0) {
+    const int64_t take = d - j < m - k ? d - j : m - k;
+    std::memcpy(dst + r * stride + j, src + k,
+                static_cast<size_t>(take) * sizeof(float));
+    k += take;
+  }
+}
+}  // namespace detail
+
+// out[r, j] = tanh(fg[r, j]) * sigmoid(fg[r, d + j]); fg is [rows, 2d] and
+// out is [rows, d].
+inline void GateRowsInto(float* out, const float* fg, int64_t rows,
+                         int64_t d) {
+  using detail::kGateTile;
+  alignas(64) float f[kGateTile];
+  alignas(64) float g[kGateTile];
+  const int64_t n = rows * d;
+  for (int64_t e0 = 0; e0 < n; e0 += kGateTile) {
+    const int64_t m = n - e0 < kGateTile ? n - e0 : kGateTile;
+    detail::GatherRows(f, fg, 2 * d, d, e0, m);
+    detail::GatherRows(g, fg + d, 2 * d, d, e0, m);
+    GateInto(out + e0, f, g, m);
+  }
+}
+
+// Gradient of GateRowsInto: dfg is [rows, 2d] and receives the filter and
+// gate gradients for the incoming [rows, d] grads gr.
+inline void GateGradRowsInto(float* dfg, const float* fg, const float* gr,
+                             int64_t rows, int64_t d) {
+  using detail::kGateTile;
+  alignas(64) float f[kGateTile];
+  alignas(64) float g[kGateTile];
+  alignas(64) float df[kGateTile];
+  alignas(64) float dg[kGateTile];
+  const int64_t n = rows * d;
+  for (int64_t e0 = 0; e0 < n; e0 += kGateTile) {
+    const int64_t m = n - e0 < kGateTile ? n - e0 : kGateTile;
+    detail::GatherRows(f, fg, 2 * d, d, e0, m);
+    detail::GatherRows(g, fg + d, 2 * d, d, e0, m);
+    GateGradInto(df, dg, f, g, gr + e0, m);
+    detail::ScatterRows(dfg, 2 * d, d, df, e0, m);
+    detail::ScatterRows(dfg + d, 2 * d, d, dg, e0, m);
+  }
 }
 
 }  // namespace simd

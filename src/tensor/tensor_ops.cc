@@ -557,6 +557,60 @@ Tensor SiluBackward(const Tensor& x, const Tensor& grad) {
       });
 }
 
+Tensor TanhForward(const Tensor& x) {
+  return ElementwiseUnary(x, [](float* o, const float* p, int64_t n) {
+    simd::TanhInto(o, p, n);
+  });
+}
+
+Tensor SigmoidForward(const Tensor& x) {
+  return ElementwiseUnary(x, [](float* o, const float* p, int64_t n) {
+    simd::SigmoidInto(o, p, n);
+  });
+}
+
+Tensor GateForward(const Tensor& fg) {
+  IMDIFF_CHECK_GE(fg.ndim(), 1u);
+  const int64_t two_d = fg.dim(fg.ndim() - 1);
+  IMDIFF_CHECK(two_d % 2 == 0) << "gate input last dim must be even, got"
+                               << two_d;
+  const int64_t d = two_d / 2;
+  const int64_t rows = d > 0 ? fg.numel() / two_d : 0;
+  Shape shape = fg.shape();
+  shape.back() = d;
+  Tensor out = Tensor::Uninitialized(shape);
+  const float* pfg = fg.data();
+  float* po = out.mutable_data();
+  // The row kernels are position-independent, so the row partition cannot
+  // affect results.
+  ParallelForRange(ComputePool(), static_cast<size_t>(rows), RowGrain(8 * d),
+                   [&](size_t begin, size_t end) {
+                     const auto r0 = static_cast<int64_t>(begin);
+                     simd::GateRowsInto(po + r0 * d, pfg + r0 * two_d,
+                                        static_cast<int64_t>(end) - r0, d);
+                   });
+  return out;
+}
+
+Tensor GateBackward(const Tensor& fg, const Tensor& grad) {
+  const int64_t two_d = fg.dim(fg.ndim() - 1);
+  const int64_t d = two_d / 2;
+  const int64_t rows = d > 0 ? fg.numel() / two_d : 0;
+  IMDIFF_CHECK_EQ(grad.numel(), rows * d);
+  Tensor out = Tensor::Uninitialized(fg.shape());
+  const float* pfg = fg.data();
+  const float* pg = grad.data();
+  float* po = out.mutable_data();
+  ParallelForRange(ComputePool(), static_cast<size_t>(rows), RowGrain(8 * d),
+                   [&](size_t begin, size_t end) {
+                     const auto r0 = static_cast<int64_t>(begin);
+                     simd::GateGradRowsInto(po + r0 * two_d, pfg + r0 * two_d,
+                                            pg + r0 * d,
+                                            static_cast<int64_t>(end) - r0, d);
+                   });
+  return out;
+}
+
 void LayerNormForward(const Tensor& x, const Tensor& gamma, const Tensor& beta,
                       float eps, Tensor* y, Tensor* xhat, Tensor* inv_std) {
   IMDIFF_CHECK_GE(x.ndim(), 1u);

@@ -78,6 +78,16 @@ Tensor GeluBackward(const Tensor& x, const Tensor& grad);
 Tensor SiluForward(const Tensor& x);
 // grad * silu'(x), elementwise.
 Tensor SiluBackward(const Tensor& x, const Tensor& grad);
+// tanh(x), elementwise.
+Tensor TanhForward(const Tensor& x);
+// 1 / (1 + exp(-x)), elementwise.
+Tensor SigmoidForward(const Tensor& x);
+// DiffWave gated activation over the last axis: fg [..., 2D] ->
+// tanh(fg[..., :D]) * sigmoid(fg[..., D:]) of shape [..., D]. The graph
+// executor's gate op runs the same row kernel (simd::GateRowsInto).
+Tensor GateForward(const Tensor& fg);
+// Gradient of GateForward w.r.t. fg for an incoming [..., D] grad; [..., 2D].
+Tensor GateBackward(const Tensor& fg, const Tensor& grad);
 
 // Fused LayerNorm forward over the last dimension. Writes the normalized
 // output into *y, the pre-affine normalized rows into *xhat (saved for the

@@ -1,5 +1,7 @@
 #include <cmath>
 #include <functional>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -127,29 +129,68 @@ TEST(AutogradTest, GatherRowsGradient) {
 
 // Parameterized gradient check over every unary activation.
 using UnaryFn = Var (*)(const Var&);
-class UnaryGradTest
-    : public ::testing::TestWithParam<std::pair<const char*, UnaryFn>> {};
+struct UnaryCase {
+  const char* name;
+  UnaryFn fn;
+};
+
+// Print the case by name only: gtest's default printer would show the
+// pointers, which change from build to build and so would make the listed
+// test names unstable.
+void PrintTo(const UnaryCase& c, std::ostream* os) { *os << c.name; }
+
+class UnaryGradTest : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(UnaryGradTest, MatchesNumerical) {
-  UnaryFn fn = GetParam().second;
+  UnaryFn fn = GetParam().fn;
   CheckGradient([fn](const Var& x) { return fn(x); }, {3, 4},
                 static_cast<uint64_t>(std::hash<std::string>{}(
-                    GetParam().first)) % 1000 + 1);
+                    GetParam().name)) % 1000 + 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Activations, UnaryGradTest,
-    ::testing::Values(std::make_pair("relu", &ReluV),
-                      std::make_pair("gelu", &GeluV),
-                      std::make_pair("silu", &SiluV),
-                      std::make_pair("tanh", &TanhV),
-                      std::make_pair("sigmoid", &SigmoidV),
-                      std::make_pair("exp", &ExpV),
-                      std::make_pair("softplus", &SoftplusV),
-                      std::make_pair("softmax", &SoftmaxV)),
-    [](const ::testing::TestParamInfo<std::pair<const char*, UnaryFn>>& info) {
-      return info.param.first;
+    ::testing::Values(UnaryCase{"relu", &ReluV}, UnaryCase{"gelu", &GeluV},
+                      UnaryCase{"silu", &SiluV}, UnaryCase{"tanh", &TanhV},
+                      UnaryCase{"sigmoid", &SigmoidV},
+                      UnaryCase{"exp", &ExpV},
+                      UnaryCase{"softplus", &SoftplusV},
+                      UnaryCase{"softmax", &SoftmaxV}),
+    [](const ::testing::TestParamInfo<UnaryCase>& info) {
+      return info.param.name;
     });
+
+// The fused DiffWave gate. D = 24 (the Fast config's hidden size) is not a
+// multiple of the AVX-512 lane width, so the row kernels' tails are covered;
+// random output weights make the upstream gradient non-uniform.
+TEST(AutogradTest, GateGradient) {
+  Rng rng(24);
+  Tensor w = Tensor::Randn({2, 3, 24}, rng);
+  CheckGradient([&](const Var& x) { return MulConst(GateV(x), w); },
+                {2, 3, 48}, 24);
+}
+
+// GateV keeps the unfused composition's arithmetic: the same values and the
+// same gradients, (g*s)*(1-t^2) and (g*t)*(s*(1-s)), bit for bit.
+TEST(AutogradTest, GateMatchesUnfusedComposition) {
+  Rng rng(25);
+  const Tensor x0 = Tensor::Randn({3, 5, 40}, rng, 2.0f);
+  const Tensor w = Tensor::Randn({3, 5, 20}, rng);
+  Var fused_x(x0.Clone(), true);
+  Var fused = GateV(fused_x);
+  Backward(SumV(MulConst(fused, w)));
+  Var split_x(x0.Clone(), true);
+  Var split = Mul(TanhV(SliceV(split_x, 2, 0, 20)),
+                  SigmoidV(SliceV(split_x, 2, 20, 20)));
+  Backward(SumV(MulConst(split, w)));
+  ASSERT_EQ(fused.value().shape(), split.value().shape());
+  for (int64_t i = 0; i < fused.value().numel(); ++i) {
+    ASSERT_EQ(fused.value().flat(i), split.value().flat(i)) << "value " << i;
+  }
+  for (int64_t i = 0; i < x0.numel(); ++i) {
+    ASSERT_EQ(fused_x.grad().flat(i), split_x.grad().flat(i)) << "grad " << i;
+  }
+}
 
 TEST(AutogradTest, LayerNormGradient) {
   Rng rng(20);

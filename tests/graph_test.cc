@@ -5,6 +5,8 @@
 // be invalidated (and retraced) when the detector's model is hot-swapped.
 
 #include <cstring>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,19 +18,22 @@
 #include "tensor/simd.h"
 #include "utils/metrics.h"
 #include "utils/rng.h"
+#include "utils/thread_pool.h"
 
 namespace imdiff {
 namespace {
 
 // Tiny configuration (see serve_test.cc) with stochastic sampling ON so the
-// executor's per-window forked noise streams are exercised.
-ImDiffusionConfig GraphTinyConfig(uint64_t seed) {
+// executor's per-window forked noise streams are exercised. hidden = 16 is a
+// multiple of every lane width; 20 and 24 (the Fast config's value) leave a
+// remainder under AVX-512, so row kernels over D elements hit their tails.
+ImDiffusionConfig GraphTinyConfig(uint64_t seed, int64_t hidden = 16) {
   ImDiffusionConfig config;
   config.model.window = 40;
-  config.model.hidden = 16;
+  config.model.hidden = hidden;
   config.model.num_blocks = 1;
   config.model.num_heads = 2;
-  config.model.ff_dim = 32;
+  config.model.ff_dim = 2 * hidden;
   config.model.step_embed_dim = 16;
   config.model.side_dim = 8;
   config.schedule.num_steps = 6;
@@ -59,14 +64,17 @@ std::vector<uint64_t> SeedsFor(int64_t n) {
   return seeds;
 }
 
-// One shared fitted detector: fitting dominates test time and every test in
-// this file needs *a* frozen model, not a fresh one.
-const ImDiffusionDetector& SharedDetector() {
-  static const ImDiffusionDetector* detector = [] {
-    auto* d = new ImDiffusionDetector(GraphTinyConfig(17));
-    d->Fit(GraphDataset().train);
-    return d;
-  }();
+// One shared fitted detector per hidden size: fitting dominates test time and
+// every test in this file needs *a* frozen model, not a fresh one.
+const ImDiffusionDetector& SharedDetector(int64_t hidden = 16) {
+  static auto* detectors =
+      new std::map<int64_t, std::unique_ptr<ImDiffusionDetector>>();
+  auto& detector = (*detectors)[hidden];
+  if (detector == nullptr) {
+    detector = std::make_unique<ImDiffusionDetector>(
+        GraphTinyConfig(17, hidden));
+    detector->Fit(GraphDataset().train);
+  }
   return *detector;
 }
 
@@ -95,8 +103,8 @@ int64_t CounterValue(const char* name) {
 // Property: every (batch shape x degrade level x forced-scalar on/off)
 // combination scores bitwise identically through the captured graph and the
 // legacy layer stack.
-TEST(GraphExecutorTest, BitwiseMatchesLegacyStackEverywhere) {
-  const ImDiffusionDetector& detector = SharedDetector();
+void ExpectGraphMatchesStackEverywhere(int64_t hidden) {
+  const ImDiffusionDetector& detector = SharedDetector(hidden);
   const MtsDataset data = GraphDataset();
   const ImDiffusionDetector::WindowPlan plan =
       detector.PlanWindows(data.test);
@@ -127,7 +135,8 @@ TEST(GraphExecutorTest, BitwiseMatchesLegacyStackEverywhere) {
             detector.ScoreWindowBatch(subset, seeds, level);
         ExpectScoresBitwiseEqual(
             graph_scores, stack_scores,
-            "scalar=" + std::to_string(force_scalar) +
+            "hidden=" + std::to_string(hidden) +
+                " scalar=" + std::to_string(force_scalar) +
                 " level=" + std::to_string(level) + " n=" + std::to_string(n));
       }
     }
@@ -138,6 +147,58 @@ TEST(GraphExecutorTest, BitwiseMatchesLegacyStackEverywhere) {
   // The graph path actually ran, and no capture failed its first-execution
   // validation against the legacy stack.
   EXPECT_GT(CounterValue("graph.executions"), executions_before);
+  EXPECT_EQ(CounterValue("graph.validation_failures"), failures_before);
+}
+
+TEST(GraphExecutorTest, BitwiseMatchesLegacyStackEverywhere) {
+  ExpectGraphMatchesStackEverywhere(16);
+}
+
+TEST(GraphExecutorTest, BitwiseMatchesLegacyStackWithLaneTails) {
+  for (const int64_t hidden : {20, 24}) ExpectGraphMatchesStackEverywhere(hidden);
+}
+
+// Property: the compute-thread count never changes a score. With infer_batch
+// 32 every batch below is one chunk, so the pool's threads split the kernels
+// themselves, and every split (row ranges in the graph, flat element ranges
+// in the stack) lands at a different point per thread count. Hidden 20 leaves
+// lane tails in every row kernel and in the FFN's GELU.
+TEST(GraphExecutorTest, ScoresBitwiseIdenticalAcrossThreadCounts) {
+  static const ImDiffusionDetector* detector_ptr = [] {
+    ImDiffusionConfig config = GraphTinyConfig(17, 20);
+    config.infer_batch = 32;
+    auto* d = new ImDiffusionDetector(config);
+    d->Fit(GraphDataset().train);
+    return d;
+  }();
+  const ImDiffusionDetector& detector = *detector_ptr;
+  const MtsDataset data = GraphDataset();
+  const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(data.test);
+  const int64_t total = plan.windows.dim(0);
+  const int64_t k = plan.windows.dim(1);
+  const int64_t window = plan.windows.dim(2);
+  const size_t threads_before = ComputeThreads();
+  const bool graph_before = graph::GraphEnabled();
+  const int64_t failures_before = CounterValue("graph.validation_failures");
+  for (const int64_t n : {int64_t{1}, int64_t{3}, total}) {
+    Tensor subset = Tensor::Uninitialized({n, k, window});
+    std::copy_n(plan.windows.data(), n * k * window, subset.mutable_data());
+    const std::vector<uint64_t> seeds = SeedsFor(n);
+    for (const bool use_graph : {true, false}) {
+      graph::SetGraphEnabled(use_graph);
+      SetComputeThreads(1);
+      const auto serial = detector.ScoreWindowBatch(subset, seeds, 0);
+      for (const size_t threads : {2, 3, 4, 8}) {
+        SetComputeThreads(threads);
+        ExpectScoresBitwiseEqual(
+            detector.ScoreWindowBatch(subset, seeds, 0), serial,
+            "n=" + std::to_string(n) + " graph=" + std::to_string(use_graph) +
+                " threads=" + std::to_string(threads));
+      }
+    }
+  }
+  SetComputeThreads(threads_before);
+  graph::SetGraphEnabled(graph_before);
   EXPECT_EQ(CounterValue("graph.validation_failures"), failures_before);
 }
 

@@ -7,7 +7,11 @@
 // are trivially exact — the suite still exercises the kernels' odd-shape
 // handling.
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -194,6 +198,24 @@ TEST_F(SimdParityTest, GeluGradSiluGradParity) {
   ExpectNear(ds_fast, ds_ref, 1e-5f);
 }
 
+// Accuracy against libm on the vector path; FusedKernelsArePositionIndependent
+// below ties every scalar tail to these lanes bit for bit.
+TEST_F(SimdParityTest, SigmoidAndGateAgainstLibm) {
+  const int64_t n = 131;
+  const Tensor f = RandomTensor({n}, 12, 3.0f);
+  const Tensor g = RandomTensor({n}, 13, 3.0f);
+  std::vector<float> sig(static_cast<size_t>(n));
+  std::vector<float> gate(static_cast<size_t>(n));
+  simd::SigmoidInto(sig.data(), g.data(), n);
+  simd::GateInto(gate.data(), f.data(), g.data(), n);
+  for (int64_t i = 0; i < n; ++i) {
+    const auto k = static_cast<size_t>(i);
+    const float want_sig = 1.0f / (1.0f + std::exp(-g.flat(i)));
+    EXPECT_NEAR(sig[k], want_sig, 2e-7f);
+    EXPECT_NEAR(gate[k], std::tanh(f.flat(i)) * want_sig, 2e-6f);
+  }
+}
+
 TEST_F(SimdParityTest, LayerNormParity) {
   for (int64_t last : {1, 3, 7, 17, 64, 65}) {
     const Tensor x =
@@ -242,6 +264,174 @@ TEST_F(SimdParityTest, Conv1dParity) {
   simd::SetForceScalar(true);
   const Tensor ref = Conv1d(x, w, bias, 1);
   ExpectNear(fast, ref, 1e-5f);
+}
+
+// ---- Position independence ------------------------------------------------------
+//
+// DESIGN.md §12: an elementwise kernel's result for one element depends only
+// on that element's inputs, never on where it lands relative to a lane
+// boundary, a tile boundary or a thread range's start. Every fused kernel is
+// run over a long input split into consecutive ranges, at every start offset
+// 0..2W and every range length 1..2W (so every tail length), and each element
+// is compared bitwise with the same element computed in a full vector lane: a
+// run over the whole input padded to a multiple of W, with no scalar tail.
+
+constexpr int64_t kW = simd::kVectorWidth;
+
+uint32_t Bits(float v) {
+  uint32_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+int64_t RoundUpToLanes(int64_t n) { return (n + kW - 1) / kW * kW; }
+
+// A fused elementwise kernel with `inputs` input arrays and `outputs` output
+// arrays of n elements each.
+struct FusedKernel {
+  std::string name;
+  int inputs;
+  int outputs;
+  std::function<void(float* const* out, const float* const* in, int64_t n)>
+      run;
+};
+
+std::vector<FusedKernel> AllFusedKernels() {
+  using In = const float* const*;
+  using Out = float* const*;
+  return {
+      {"Exp", 1, 1, [](Out o, In x, int64_t n) { simd::ExpInto(o[0], x[0], n); }},
+      {"Tanh", 1, 1,
+       [](Out o, In x, int64_t n) { simd::TanhInto(o[0], x[0], n); }},
+      {"Sigmoid", 1, 1,
+       [](Out o, In x, int64_t n) { simd::SigmoidInto(o[0], x[0], n); }},
+      {"Gelu", 1, 1,
+       [](Out o, In x, int64_t n) { simd::GeluInto(o[0], x[0], n); }},
+      {"GeluGrad", 2, 1,
+       [](Out o, In x, int64_t n) {
+         simd::GeluGradInto(o[0], x[0], x[1], n);
+       }},
+      {"Silu", 1, 1,
+       [](Out o, In x, int64_t n) { simd::SiluInto(o[0], x[0], n); }},
+      {"SiluGrad", 2, 1,
+       [](Out o, In x, int64_t n) {
+         simd::SiluGradInto(o[0], x[0], x[1], n);
+       }},
+      {"Gate", 2, 1,
+       [](Out o, In x, int64_t n) { simd::GateInto(o[0], x[0], x[1], n); }},
+      {"GateGrad", 3, 2,
+       [](Out o, In x, int64_t n) {
+         simd::GateGradInto(o[0], o[1], x[0], x[1], x[2], n);
+       }},
+  };
+}
+
+TEST_F(SimdParityTest, FusedKernelsArePositionIndependent) {
+  const int64_t n_total = 1024 + 5;
+  const int64_t padded = RoundUpToLanes(n_total);
+  for (const FusedKernel& kernel : AllFusedKernels()) {
+    // Inputs span the saturating and the polynomial ranges of exp.
+    std::vector<std::vector<float>> in;
+    for (int a = 0; a < kernel.inputs; ++a) {
+      const Tensor t = RandomTensor({padded}, 900 + static_cast<uint64_t>(a),
+                                    4.0f);
+      in.emplace_back(t.data(), t.data() + padded);
+    }
+    auto outputs = [&] {
+      return std::vector<std::vector<float>>(
+          static_cast<size_t>(kernel.outputs),
+          std::vector<float>(static_cast<size_t>(padded)));
+    };
+    std::vector<std::vector<float>> ref = outputs();
+    std::vector<std::vector<float>> out = outputs();
+    auto run_at = [&](std::vector<std::vector<float>>& dst, int64_t start,
+                      int64_t n) {
+      std::vector<const float*> at_in;
+      for (const auto& v : in) at_in.push_back(v.data() + start);
+      std::vector<float*> at_out;
+      for (auto& v : dst) at_out.push_back(v.data() + start);
+      kernel.run(at_out.data(), at_in.data(), n);
+    };
+    run_at(ref, 0, padded);
+
+    for (int64_t offset = 0; offset <= 2 * kW; ++offset) {
+      for (int64_t len = 1; len <= 2 * kW; ++len) {
+        for (int64_t start = offset; start < n_total; start += len) {
+          run_at(out, start, std::min(len, n_total - start));
+        }
+        for (int o = 0; o < kernel.outputs; ++o) {
+          const std::vector<float>& got = out[static_cast<size_t>(o)];
+          const std::vector<float>& want = ref[static_cast<size_t>(o)];
+          for (int64_t i = offset; i < n_total; ++i) {
+            const auto k = static_cast<size_t>(i);
+            ASSERT_EQ(Bits(got[k]), Bits(want[k]))
+                << kernel.name << " output " << o << ": ranges of " << len
+                << " from offset " << offset << ", element " << i
+                << " (position " << (i - offset) % len
+                << " in its range), got " << got[k] << " want " << want[k];
+          }
+        }
+      }
+    }
+  }
+}
+
+// The [rows, 2d] gate kernels gather row tiles into contiguous scratch. For
+// row widths that do and do not divide the lane width, at every starting row
+// 0..2W and every row count (so every tile and tail split), each element must
+// match the contiguous kernel's full-lane result bitwise.
+TEST_F(SimdParityTest, GateRowsArePositionIndependent) {
+  for (const int64_t d : {int64_t{1}, int64_t{3}, kW - 1 > 0 ? kW - 1 : 1, kW,
+                          kW + 1, int64_t{20}, int64_t{24}, 2 * kW + 1}) {
+    const int64_t rows_total = 2 * kW + 24;
+    const int64_t n_total = rows_total * d;
+    const int64_t padded = RoundUpToLanes(n_total);
+    const Tensor fg = RandomTensor({rows_total, 2 * d},
+                                   1000 + static_cast<uint64_t>(d), 4.0f);
+    const Tensor grad = RandomTensor({padded}, 1100 + static_cast<uint64_t>(d));
+    // Full-lane reference over de-interleaved, padded filter/gate arrays.
+    std::vector<float> f(static_cast<size_t>(padded), 0.5f);
+    std::vector<float> g(static_cast<size_t>(padded), 0.5f);
+    for (int64_t r = 0; r < rows_total; ++r) {
+      std::copy_n(fg.data() + r * 2 * d, d, f.data() + r * d);
+      std::copy_n(fg.data() + r * 2 * d + d, d, g.data() + r * d);
+    }
+    std::vector<float> ref(static_cast<size_t>(padded));
+    std::vector<float> ref_df(static_cast<size_t>(padded));
+    std::vector<float> ref_dg(static_cast<size_t>(padded));
+    simd::GateInto(ref.data(), f.data(), g.data(), padded);
+    simd::GateGradInto(ref_df.data(), ref_dg.data(), f.data(), g.data(),
+                       grad.data(), padded);
+
+    std::vector<float> out(static_cast<size_t>(n_total));
+    std::vector<float> dfg(static_cast<size_t>(2 * n_total));
+    for (int64_t r0 = 0; r0 <= 2 * kW; ++r0) {
+      for (int64_t rows = 1; r0 + rows <= rows_total; ++rows) {
+        simd::GateRowsInto(out.data(), fg.data() + r0 * 2 * d, rows, d);
+        simd::GateGradRowsInto(dfg.data(), fg.data() + r0 * 2 * d,
+                               grad.data() + r0 * d, rows, d);
+        for (int64_t r = 0; r < rows; ++r) {
+          for (int64_t j = 0; j < d; ++j) {
+            const auto e = static_cast<size_t>((r0 + r) * d + j);
+            // Only formatted when an assertion fails.
+            auto where = [&] {
+              return "d " + std::to_string(d) + " row0 " + std::to_string(r0) +
+                     " rows " + std::to_string(rows) + " at (" +
+                     std::to_string(r) + ", " + std::to_string(j) + ")";
+            };
+            ASSERT_EQ(Bits(out[static_cast<size_t>(r * d + j)]), Bits(ref[e]))
+                << "gate " << where();
+            ASSERT_EQ(Bits(dfg[static_cast<size_t>(r * 2 * d + j)]),
+                      Bits(ref_df[e]))
+                << "filter grad " << where();
+            ASSERT_EQ(Bits(dfg[static_cast<size_t>(r * 2 * d + d + j)]),
+                      Bits(ref_dg[e]))
+                << "gate grad " << where();
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

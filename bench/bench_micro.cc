@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -25,7 +26,6 @@
 #include "core/online_detector.h"
 #include "data/synthetic.h"
 #include "diffusion/ddpm.h"
-#include "graph/graph.h"
 #include "nn/attention.h"
 #include "tensor/arena.h"
 #include "tensor/gemm.h"
@@ -554,12 +554,12 @@ int RunKernelBench(const std::string& path) {
       rows.push_back(row);
     }
 
-    // Per-block steady-state scoring: the captured graph executor (src/graph)
-    // vs the autograd layer stack. One op = one seeded ScoreWindowBatch over
-    // a chunk of `infer_batch` windows. Unlike the other rows, allocs_per_op
-    // here counts *all* arena free-list requests (hits + misses): a warm
-    // captured graph runs entirely inside its static plan, so its row must
-    // read exactly zero.
+    // Per-block steady-state scoring: the captured graph executor (src/graph,
+    // ScoreWindowBatch) vs the autograd layer stack (ScoreWindowBatchOnStack).
+    // One op = one seeded scoring call over a chunk of `infer_batch` windows.
+    // Unlike the other rows, allocs_per_op here counts *all* arena free-list
+    // requests (hits + misses): a warm captured graph runs entirely inside
+    // its static plan, so its row must read exactly zero.
     {
       const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(series);
       const Tensor& all = plan.windows;
@@ -577,15 +577,18 @@ int RunKernelBench(const std::string& path) {
                     static_cast<long>(nb));
       const struct {
         const char* variant;
-        bool graph;
-      } modes[] = {{"stack", false}, {"graph", true}};
+        std::function<std::vector<ImDiffusionDetector::WindowScore>()> score;
+      } modes[] = {
+          {"stack",
+           [&] { return detector.ScoreWindowBatchOnStack(chunk, seeds, 0); }},
+          {"graph", [&] { return detector.ScoreWindowBatch(chunk, seeds, 0); }},
+      };
       for (const auto& mode : modes) {
-        graph::SetGraphEnabled(mode.graph);
         ApplyVariant(kSimd);
-        // Warmup: the first graph call captures and validates; the second is
-        // the steady state being measured.
-        detector.ScoreWindowBatch(chunk, seeds, 0);
-        detector.ScoreWindowBatch(chunk, seeds, 0);
+        // Warmup: the first graph call captures; the second is the steady
+        // state being measured.
+        mode.score();
+        mode.score();
         const Arena::Stats before = Arena::Global().stats();
         double best = 1e300;
         int64_t total_iters = 0;
@@ -594,8 +597,7 @@ int RunKernelBench(const std::string& path) {
           for (;;) {
             const auto t0 = std::chrono::steady_clock::now();
             for (int64_t i = 0; i < iters; ++i) {
-              benchmark::DoNotOptimize(
-                  detector.ScoreWindowBatch(chunk, seeds, 0));
+              benchmark::DoNotOptimize(mode.score());
             }
             const double elapsed = std::chrono::duration<double>(
                                        std::chrono::steady_clock::now() - t0)
@@ -610,7 +612,6 @@ int RunKernelBench(const std::string& path) {
         }
         const Arena::Stats after = Arena::Global().stats();
         ResetVariant();
-        graph::SetGraphEnabled(true);
         KernelRow row;
         row.kernel = name;
         row.variant = mode.variant;

@@ -25,6 +25,7 @@
 
 #include "serve/router.h"
 #include "utils/check.h"
+#include "utils/flags.h"
 #include "utils/logging.h"
 
 namespace imdiff {
@@ -43,27 +44,28 @@ struct RouterFlags {
 RouterFlags ParseFlags(int argc, char** argv) {
   RouterFlags flags;
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) {
+    const char* const flag = argv[i];
+    auto next = [&]() {
       IMDIFF_CHECK(i + 1 < argc) << flag << "needs a value";
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--shards") == 0) {
-      flags.shards = std::atoll(next("--shards"));
+      flags.shards = FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--socket-dir") == 0) {
-      flags.socket_dir = next("--socket-dir");
+      flags.socket_dir = next();
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      flags.seed = static_cast<uint64_t>(std::atoll(next("--seed")));
+      flags.seed = FlagValue<uint64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-      flags.metrics_out = next("--metrics-out");
+      flags.metrics_out = next();
     } else if (std::strcmp(argv[i], "--move") == 0) {
-      const std::string spec = next("--move");
+      const std::string spec = next();
       const size_t eq = spec.rfind('=');
       IMDIFF_CHECK(eq != std::string::npos && eq > 0)
           << "--move wants TENANT=SHARD, got" << spec;
-      flags.moves.emplace_back(spec.substr(0, eq),
-                               std::atoll(spec.c_str() + eq + 1));
+      flags.moves.emplace_back(
+          spec.substr(0, eq), FlagValue<int64_t>(flag, spec.c_str() + eq + 1));
     } else if (std::strcmp(argv[i], "--crash") == 0) {
-      flags.crash_shard = std::atoll(next("--crash"));
+      flags.crash_shard = FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--shutdown") == 0) {
       flags.shutdown = true;
     } else {

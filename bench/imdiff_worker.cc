@@ -29,15 +29,13 @@
 // path is unusable (stale socket file: fail fast, never clobber), 2 on a
 // chaos kCrash.
 
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "core/imdiffusion.h"
 #include "serve/worker.h"
 #include "utils/check.h"
-#include "utils/logging.h"
-#include "utils/metrics.h"
+#include "utils/flags.h"
 
 namespace imdiff {
 namespace {
@@ -53,64 +51,70 @@ int Main(int argc, char** argv) {
   int64_t context = 200;
   double flush_ms = 10.0;
   for (int i = 1; i < argc; ++i) {
-    auto next = [&](const char* flag) {
+    const char* const flag = argv[i];
+    auto next = [&]() {
       IMDIFF_CHECK(i + 1 < argc) << flag << "needs a value";
       return argv[++i];
     };
     if (std::strcmp(argv[i], "--socket") == 0) {
-      options.socket_path = next("--socket");
+      options.socket_path = next();
     } else if (std::strcmp(argv[i], "--shard-id") == 0) {
-      options.shard_id = std::atoll(next("--shard-id"));
+      options.shard_id = FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--block") == 0) {
-      block = std::atoll(next("--block"));
+      block = FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--context") == 0) {
-      context = std::atoll(next("--context"));
+      context = FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--flush-ms") == 0) {
-      flush_ms = std::atof(next("--flush-ms"));
+      flush_ms = FlagValue<double>(flag, next());
     } else if (std::strcmp(argv[i], "--batch-windows") == 0) {
-      options.serve.batch.max_batch_windows = std::atoll(next("--batch-windows"));
+      options.serve.batch.max_batch_windows =
+          FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--queue") == 0) {
-      options.serve.queue_capacity = std::atoll(next("--queue"));
+      options.serve.queue_capacity = FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--workers") == 0) {
-      options.serve.num_workers = std::atoi(next("--workers"));
+      options.serve.num_workers = FlagValue<int>(flag, next());
     } else if (std::strcmp(argv[i], "--max-resident") == 0) {
-      options.serve.session.max_resident = std::atoll(next("--max-resident"));
+      options.serve.session.max_resident =
+          FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--max-stashed") == 0) {
-      options.serve.session.max_stashed = std::atoll(next("--max-stashed"));
+      options.serve.session.max_stashed = FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      seed = static_cast<uint64_t>(std::atoll(next("--seed")));
+      seed = FlagValue<uint64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--epochs") == 0) {
-      options.config.epochs = std::atoi(next("--epochs"));
+      options.config.epochs = FlagValue<int>(flag, next());
     } else if (std::strcmp(argv[i], "--deadline-ms") == 0) {
-      options.serve.deadline_seconds = std::atof(next("--deadline-ms")) / 1000.0;
+      options.serve.deadline_seconds =
+          FlagValue<double>(flag, next()) / 1000.0;
     } else if (std::strcmp(argv[i], "--force-degrade") == 0) {
-      options.serve.force_degrade_level = std::atoi(next("--force-degrade"));
+      options.serve.force_degrade_level = FlagValue<int>(flag, next());
     } else if (std::strcmp(argv[i], "--precision") == 0) {
       Precision p;
-      const char* name = next("--precision");
+      const char* name = next();
       IMDIFF_CHECK(ParsePrecision(name, &p))
           << "--precision must be fp32, bf16, or int8, got" << name;
       options.serve.force_precision = static_cast<int>(p);
     } else if (std::strcmp(argv[i], "--refresh-every") == 0) {
-      options.serve.refresh.refresh_every = std::atoll(next("--refresh-every"));
+      options.serve.refresh.refresh_every =
+          FlagValue<int64_t>(flag, next());
       options.serve.refresh.enabled = options.serve.refresh.refresh_every > 0;
     } else if (std::strcmp(argv[i], "--refresh-recent") == 0) {
       options.serve.session.refresh_recent =
-          std::atoll(next("--refresh-recent"));
+          FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--shadow-fraction") == 0) {
-      options.serve.refresh.shadow_fraction = std::atof(next("--shadow-fraction"));
+      options.serve.refresh.shadow_fraction =
+          FlagValue<double>(flag, next());
     } else if (std::strcmp(argv[i], "--verdict-pairs") == 0) {
-      options.serve.refresh.verdict_pairs = std::atoll(next("--verdict-pairs"));
+      options.serve.refresh.verdict_pairs =
+          FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--refresh-psi") == 0) {
-      options.serve.refresh.psi_promote = std::atof(next("--refresh-psi"));
+      options.serve.refresh.psi_promote = FlagValue<double>(flag, next());
     } else if (std::strcmp(argv[i], "--refresh-ks") == 0) {
-      options.serve.refresh.ks_promote = std::atof(next("--refresh-ks"));
+      options.serve.refresh.ks_promote = FlagValue<double>(flag, next());
     } else if (std::strcmp(argv[i], "--refresh-mean-ratio") == 0) {
       options.serve.refresh.mean_ratio_promote =
-          std::atof(next("--refresh-mean-ratio"));
+          FlagValue<double>(flag, next());
     } else if (std::strcmp(argv[i], "--refresh-epochs") == 0) {
-      options.serve.refresh.fit_epochs =
-          static_cast<int>(std::atoll(next("--refresh-epochs")));
+      options.serve.refresh.fit_epochs = FlagValue<int>(flag, next());
     } else {
       IMDIFF_CHECK(false) << "unknown flag" << argv[i];
     }
@@ -124,15 +128,7 @@ int Main(int argc, char** argv) {
   options.serve.session.online.context = context;
   options.serve.session.seed_base = seed;
   options.serve.batch.flush_window_seconds = flush_ms / 1000.0;
-  const int code = serve::RunShardWorker(options);
-  if (code == serve::kWorkerExitOk &&
-      MetricsRegistry::Global()
-              .GetCounter("graph.validation_failures")
-              ->value() > 0) {
-    IMDIFF_LOG(Error) << "graph executor diverged from the layer stack";
-    return serve::kWorkerExitGraphDiverged;
-  }
-  return code;
+  return serve::RunShardWorker(options);
 }
 
 }  // namespace

@@ -8,9 +8,6 @@
 // and checks that the served score streams are BITWISE identical to the
 // serial ones, and reports the aggregate throughput ratio — the speedup
 // cross-session batching + window-score reuse buys at equal results.
-// Every mode also exits nonzero when graph.validation_failures > 0 (a graph
-// capture diverged from the layer stack and serving silently switched to the
-// stack); sharded workers report it through their exit status.
 //
 // Usage: serve_replay [--tenants N] [--samples L] [--block B] [--context C]
 //   [--flush-ms F] [--batch-windows W] [--queue Q] [--workers N]
@@ -77,9 +74,9 @@
 // identical runs to prove fault handling is deterministic.
 //
 // --force-degrade L pins every block to degradation level L (bypassing the
-// deadline policy), so two runs that differ only in execution backend — e.g.
-// IMDIFF_GRAPH=0 vs 1 — produce comparable --scores-out dumps at a fixed
-// level instead of coupling level choice to wall-clock speed.
+// deadline policy), so two runs that differ only in build or host produce
+// comparable --scores-out dumps at a fixed level instead of coupling level
+// choice to wall-clock speed.
 //
 // --precision P pins every block to scoring precision P (fp32/bf16/int8),
 // the same knob for the ladder's precision axis (DESIGN.md §17). The serial
@@ -294,20 +291,6 @@ ReplayFlags ParseFlags(int argc, char** argv) {
 
 bool FileExists(const std::string& path) {
   return std::ifstream(path).good();
-}
-
-// A graph capture whose first execution diverged from the layer stack turns
-// the executor off and serves from the stack. That is a kernel bug, never a
-// fallback to live with, so it fails the run.
-bool GraphValidationFailed() {
-  const int64_t failures = MetricsRegistry::Global()
-                               .GetCounter("graph.validation_failures")
-                               ->value();
-  if (failures > 0) {
-    IMDIFF_LOG(Error) << "graph.validation_failures = " << failures
-                      << ": the graph executor diverged from the layer stack";
-  }
-  return failures > 0;
 }
 
 // Place the generic synthetic tenant channels into the middle of the model's
@@ -541,7 +524,6 @@ int RunZipfLoad(const ReplayFlags& flags,
                       << " submissions were shed (retried)";
     exit_code = 1;
   }
-  if (GraphValidationFailed()) exit_code = 1;
   return exit_code;
 }
 
@@ -1115,7 +1097,6 @@ int Main(int argc, char** argv) {
                       << " submissions were dropped at ingest";
     exit_code = 1;
   }
-  if (GraphValidationFailed()) exit_code = 1;
   return exit_code;
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <limits>
 #include <numeric>
 
 #include "data/windowing.h"
@@ -406,7 +405,7 @@ void ImDiffusionDetector::RunChain(
 
 void ImDiffusionDetector::ErrorRowsFromDiff(
     const std::vector<Tensor>& step_diff, int64_t bsz, int64_t row_offset,
-    std::vector<std::vector<std::vector<float>>>* rows) const {
+    ErrorRows* rows) const {
   // Reduce over features -> per-(window, position) error: squared
   // moving-average bias of the signed residual (robust to zero-mean noise)
   // plus a weighted raw squared term (retains point spikes).
@@ -738,48 +737,14 @@ ImDiffusionDetector::WindowPlan ImDiffusionDetector::PlanWindows(
   return plan;
 }
 
-namespace {
-
-// Loose catastrophe gates for first-execution validation of reduced-precision
-// graph captures against the fp32 legacy stack: a correct bf16/int8 lowering
-// lands orders of magnitude below these, a wrong one (bad pack geometry,
-// swapped scales) blows through them. Accuracy proper is judged end-to-end by
-// the eval accuracy gate, not here.
-float PrecisionRelL2Gate(Precision p) {
-  return p == Precision::kInt8 ? 0.5f : 0.25f;
-}
-
-// Relative L2 distance between a reduced-precision step tensor and its fp32
-// reference; +inf when the quantized result carries a non-finite value.
-float StepRelL2(const Tensor& quantized, const Tensor& ref) {
-  const float* q = quantized.data();
-  const float* f = ref.data();
-  const int64_t n = ref.numel();
-  double num = 0.0, den = 0.0;
-  for (int64_t i = 0; i < n; ++i) {
-    if (!std::isfinite(q[i])) return std::numeric_limits<float>::infinity();
-    const double d = static_cast<double>(q[i]) - static_cast<double>(f[i]);
-    num += d * d;
-    den += static_cast<double>(f[i]) * static_cast<double>(f[i]);
-  }
-  return static_cast<float>(std::sqrt(num / (den + 1e-30)));
-}
-
-}  // namespace
-
-std::vector<ImDiffusionDetector::WindowScore>
-ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
-                                      const std::vector<uint64_t>& seeds,
-                                      int degrade_level,
-                                      Precision precision) const {
+std::vector<ImDiffusionDetector::WindowScore> ImDiffusionDetector::ScoreChunks(
+    const Tensor& windows, const std::vector<uint64_t>& seeds,
+    const ChunkScorer& score_chunk) const {
   IMDIFF_CHECK(model_ != nullptr) << "Fit or LoadModel must be called first";
-  const Precision prec = ResolvePrecision(precision);
   IMDIFF_CHECK_EQ(windows.ndim(), 3u);
   const int64_t num_windows = windows.dim(0);
-  const int64_t k = windows.dim(1);
-  const int64_t window = windows.dim(2);
-  IMDIFF_CHECK_EQ(k, config_.model.num_features);
-  IMDIFF_CHECK_EQ(window, config_.model.window);
+  IMDIFF_CHECK_EQ(windows.dim(1), config_.model.num_features);
+  IMDIFF_CHECK_EQ(windows.dim(2), config_.model.window);
   IMDIFF_CHECK_EQ(static_cast<int64_t>(seeds.size()), num_windows);
   IMDIFF_CHECK(config_.mask_strategy != MaskStrategy::kRandom)
       << "seeded scoring requires a deterministic mask strategy";
@@ -787,22 +752,55 @@ ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
   if (num_windows == 0) return result;
 
   IMDIFF_TRACE_SCOPE("detector.batch_score_seconds");
+  const size_t num_votes = VoteSteps().size();
+  ErrorRows rows(num_votes,
+                 std::vector<std::vector<float>>(
+                     static_cast<size_t>(num_windows)));
+  const int64_t num_chunks =
+      (num_windows + config_.infer_batch - 1) / config_.infer_batch;
+  Counter* const windows_scored =
+      MetricsRegistry::Global().GetCounter("detector.windows_scored");
+  ParallelFor(ComputePool(), static_cast<size_t>(num_chunks), [&](size_t ci) {
+    IMDIFF_TRACE_SCOPE("detector.window_score_seconds");
+    const int64_t chunk = static_cast<int64_t>(ci) * config_.infer_batch;
+    const int64_t bsz =
+        std::min<int64_t>(config_.infer_batch, num_windows - chunk);
+    windows_scored->Increment(bsz);
+    score_chunk(chunk, bsz, &rows);
+  });
+
+  for (int64_t w = 0; w < num_windows; ++w) {
+    result[static_cast<size_t>(w)].step_errors.resize(num_votes);
+    for (size_t s = 0; s < num_votes; ++s) {
+      result[static_cast<size_t>(w)].step_errors[s] =
+          std::move(rows[s][static_cast<size_t>(w)]);
+    }
+  }
+  return result;
+}
+
+std::vector<ImDiffusionDetector::WindowScore>
+ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
+                                      const std::vector<uint64_t>& seeds,
+                                      int degrade_level,
+                                      Precision precision) const {
+  const Precision prec = ResolvePrecision(precision);
+  const int64_t k = config_.model.num_features;
+  const int64_t per_window = k * config_.model.window;
   const std::vector<int> vote_ts = VoteSteps();
-  const size_t num_votes = vote_ts.size();
   const int chain_begin = ChainStartForDegradeLevel(degrade_level);
   const int num_policies = NumPolicies(config_.mask_strategy);
-  const int64_t per_window = k * window;
 
-  // The complementary masks are only needed to capture a new graph or to run
-  // the legacy stack; steady-state graph scoring touches neither, so they are
-  // built lazily (once) to keep warm calls off the arena entirely.
+  // The complementary masks are only needed to capture a new graph; warm
+  // scoring touches neither, so they are built lazily (once) to keep warm
+  // calls off the arena entirely.
   std::mutex mask_mu;
   std::unique_ptr<std::pair<Tensor, Tensor>> lazy_masks;
   auto masks = [&]() -> const std::pair<Tensor, Tensor>& {
     std::lock_guard<std::mutex> lock(mask_mu);
     if (lazy_masks == nullptr) {
       lazy_masks = std::make_unique<std::pair<Tensor, Tensor>>(
-          MakeMaskPair(config_.mask_strategy, k, window,
+          MakeMaskPair(config_.mask_strategy, k, config_.model.window,
                        config_.num_masked_windows, nullptr));
     }
     return *lazy_masks;
@@ -812,7 +810,7 @@ ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
   // shared_ptr keeps it alive even if Fit/LoadModel swaps the model — and
   // thus the cache — out from under a concurrent scoring call.
   std::shared_ptr<graph::GraphCache> gcache;
-  if (graph::GraphEnabled()) {
+  {
     std::lock_guard<std::mutex> lock(graph_mu_);
     if (graph_cache_ == nullptr) {
       graph_cache_ = std::make_shared<graph::GraphCache>();
@@ -820,22 +818,52 @@ ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
     gcache = graph_cache_;
   }
 
-  std::vector<std::vector<std::vector<float>>> rows(
-      num_votes,
-      std::vector<std::vector<float>>(static_cast<size_t>(num_windows)));
-  const int64_t num_chunks =
-      (num_windows + config_.infer_batch - 1) / config_.infer_batch;
-  Counter* const windows_scored =
-      MetricsRegistry::Global().GetCounter("detector.windows_scored");
+  return ScoreChunks(windows, seeds, [&](int64_t chunk, int64_t bsz,
+                                         ErrorRows* rows) {
+    std::unique_ptr<graph::GraphContext> ctx =
+        gcache->Acquire(bsz, degrade_level, prec, [&]() {
+          const std::pair<Tensor, Tensor>& mp = masks();
+          graph::DenoiserSpec spec;
+          spec.model = model_.get();
+          spec.schedule = &diffusion_->schedule();
+          for (int policy = 0; policy < num_policies; ++policy) {
+            spec.policy_masks.push_back(policy == 0 ? mp.first : mp.second);
+          }
+          spec.vote_ts = vote_ts;
+          spec.chain_begin = chain_begin;
+          spec.bsz = bsz;
+          spec.conditional = config_.conditional;
+          spec.stochastic_sampling = config_.stochastic_sampling;
+          spec.score_on_x0 = config_.score_on_x0;
+          spec.precision = prec;
+          return std::make_unique<graph::GraphContext>(spec);
+        });
+    ctx->ScoreChunk(windows.data() + chunk * per_window, seeds.data() + chunk);
+    ErrorRowsFromDiff(ctx->step_diff(), bsz, chunk, rows);
+    gcache->Release(bsz, degrade_level, prec, std::move(ctx));
+  });
+}
 
-  // Legacy (autograd layer stack) chunk body at precision `p`; also the
-  // reference a freshly captured graph is validated against on its first
-  // execution per kernel mode (DESIGN.md §12, §17). The ScopedPrecision guard
-  // routes every nn::Linear inside RunChain through the quantized kernels for
-  // non-fp32 p — the same kernels a graph capture at p lowers onto.
-  auto legacy_chunk = [&](int64_t chunk, int64_t bsz, Precision p,
-                          std::vector<Tensor>* step_diff) {
-    ScopedPrecision precision_guard(p);
+std::vector<ImDiffusionDetector::WindowScore>
+ImDiffusionDetector::ScoreWindowBatchOnStack(
+    const Tensor& windows, const std::vector<uint64_t>& seeds,
+    int degrade_level, Precision precision) const {
+  const Precision prec = ResolvePrecision(precision);
+  const int64_t k = config_.model.num_features;
+  const int64_t window = config_.model.window;
+  const int64_t per_window = k * window;
+  const std::vector<int> vote_ts = VoteSteps();
+  const int chain_begin = ChainStartForDegradeLevel(degrade_level);
+  const int num_policies = NumPolicies(config_.mask_strategy);
+  const std::pair<Tensor, Tensor> masks =
+      MakeMaskPair(config_.mask_strategy, k, window,
+                   config_.num_masked_windows, nullptr);
+
+  return ScoreChunks(windows, seeds, [&](int64_t chunk, int64_t bsz,
+                                         ErrorRows* rows) {
+    // Routes every nn::Linear inside RunChain through the quantized kernels
+    // for non-fp32 precisions — the same kernels a graph capture lowers onto.
+    ScopedPrecision precision_guard(prec);
     Tensor x0 = Tensor::Uninitialized({bsz, k, window});
     std::copy_n(windows.data() + chunk * per_window, bsz * per_window,
                 x0.mutable_data());
@@ -873,12 +901,13 @@ ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
       }
     }
 
-    step_diff->reserve(num_votes);
-    for (size_t s = 0; s < num_votes; ++s) {
-      step_diff->emplace_back(Shape{bsz, k, window});
+    std::vector<Tensor> step_diff;
+    step_diff.reserve(vote_ts.size());
+    for (size_t s = 0; s < vote_ts.size(); ++s) {
+      step_diff.emplace_back(Shape{bsz, k, window});
     }
     for (int policy = 0; policy < num_policies; ++policy) {
-      const Tensor& mask2d = policy == 0 ? masks().first : masks().second;
+      const Tensor& mask2d = policy == 0 ? masks.first : masks.second;
       Tensor mask = TileMask(mask2d, bsz);
       Tensor inv_mask = Complement(mask);
       std::vector<int64_t> policies(static_cast<size_t>(bsz), policy);
@@ -888,97 +917,10 @@ ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
                config_.stochastic_sampling
                    ? &window_rngs[static_cast<size_t>(policy)]
                    : nullptr,
-               step_diff, nullptr);
+               &step_diff, nullptr);
     }
-  };
-
-  ParallelFor(ComputePool(), static_cast<size_t>(num_chunks), [&](size_t ci) {
-    IMDIFF_TRACE_SCOPE("detector.window_score_seconds");
-    const int64_t chunk = static_cast<int64_t>(ci) * config_.infer_batch;
-    const int64_t bsz =
-        std::min<int64_t>(config_.infer_batch, num_windows - chunk);
-    windows_scored->Increment(bsz);
-
-    if (gcache != nullptr && !gcache->disabled()) {
-      std::unique_ptr<graph::GraphContext> ctx =
-          gcache->Acquire(bsz, degrade_level, prec, [&]() {
-            const std::pair<Tensor, Tensor>& mp = masks();
-            graph::DenoiserSpec spec;
-            spec.model = model_.get();
-            spec.schedule = &diffusion_->schedule();
-            for (int policy = 0; policy < num_policies; ++policy) {
-              spec.policy_masks.push_back(policy == 0 ? mp.first : mp.second);
-            }
-            spec.vote_ts = vote_ts;
-            spec.chain_begin = chain_begin;
-            spec.bsz = bsz;
-            spec.conditional = config_.conditional;
-            spec.stochastic_sampling = config_.stochastic_sampling;
-            spec.score_on_x0 = config_.score_on_x0;
-            spec.precision = prec;
-            return std::make_unique<graph::GraphContext>(spec);
-          });
-      if (ctx != nullptr) {
-        ctx->ScoreChunk(windows.data() + chunk * per_window,
-                        seeds.data() + chunk);
-        if (ctx->validated_for_current_mode()) {
-          ErrorRowsFromDiff(ctx->step_diff(), bsz, chunk, &rows);
-          gcache->Release(bsz, degrade_level, prec, std::move(ctx));
-          return;
-        }
-        // First execution of this capture in the current kernel mode:
-        // validate against the legacy stack before trusting it. The lowering
-        // check is a memcmp against the legacy stack at the SAME precision —
-        // identical kernels, so any difference means the capture is wrong for
-        // this build. Non-fp32 captures additionally pass a tolerance gate
-        // against the fp32 legacy stack, which catches a quantization path
-        // that is self-consistent but numerically broken. Either failure
-        // scores with the same-precision legacy result (keeping graph-on ==
-        // graph-off bitwise) and permanently disables the cache.
-        std::vector<Tensor> ref_diff;
-        legacy_chunk(chunk, bsz, prec, &ref_diff);
-        bool match = ref_diff.size() == ctx->step_diff().size();
-        for (size_t s = 0; match && s < ref_diff.size(); ++s) {
-          match = std::memcmp(ref_diff[s].data(), ctx->step_diff()[s].data(),
-                              static_cast<size_t>(ref_diff[s].numel()) *
-                                  sizeof(float)) == 0;
-        }
-        if (match && prec != Precision::kF32) {
-          std::vector<Tensor> f32_diff;
-          legacy_chunk(chunk, bsz, Precision::kF32, &f32_diff);
-          const float gate = PrecisionRelL2Gate(prec);
-          for (size_t s = 0; match && s < f32_diff.size(); ++s) {
-            match = StepRelL2(ctx->step_diff()[s], f32_diff[s]) <= gate;
-          }
-        }
-        if (match) {
-          ctx->mark_validated_for_current_mode();
-          ErrorRowsFromDiff(ctx->step_diff(), bsz, chunk, &rows);
-          gcache->Release(bsz, degrade_level, prec, std::move(ctx));
-        } else {
-          MetricsRegistry::Global()
-              .GetCounter("graph.validation_failures")
-              ->Increment();
-          gcache->Disable();
-          ErrorRowsFromDiff(ref_diff, bsz, chunk, &rows);
-        }
-        return;
-      }
-    }
-
-    std::vector<Tensor> step_diff;
-    legacy_chunk(chunk, bsz, prec, &step_diff);
-    ErrorRowsFromDiff(step_diff, bsz, chunk, &rows);
+    ErrorRowsFromDiff(step_diff, bsz, chunk, rows);
   });
-
-  for (int64_t w = 0; w < num_windows; ++w) {
-    result[static_cast<size_t>(w)].step_errors.resize(num_votes);
-    for (size_t s = 0; s < num_votes; ++s) {
-      result[static_cast<size_t>(w)].step_errors[s] =
-          std::move(rows[s][static_cast<size_t>(w)]);
-    }
-  }
-  return result;
 }
 
 DetectionResult ImDiffusionDetector::ReduceWindowScores(

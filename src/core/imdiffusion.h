@@ -11,6 +11,7 @@
 #ifndef IMDIFF_CORE_IMDIFFUSION_H_
 #define IMDIFF_CORE_IMDIFFUSION_H_
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -173,7 +174,17 @@ class ImDiffusionDetector : public AnomalyDetector {
   // request is filtered through ResolvePrecision(), so IMDIFF_PRECISION /
   // SetForcePrecision win over the argument. Scores remain a pure function
   // of (content, seed, degrade_level, precision).
+  //
+  // Every chunk runs on the captured graph executor (src/graph), the only
+  // inference path.
   std::vector<WindowScore> ScoreWindowBatch(
+      const Tensor& windows, const std::vector<uint64_t>& seeds,
+      int degrade_level = 0, Precision precision = Precision::kF32) const;
+
+  // The same scores computed by the autograd layer stack (RunChain), the
+  // reference the graph executor must match bit for bit (tests/graph_test.cc)
+  // and the baseline bench_micro times it against. Serving never calls it.
+  std::vector<WindowScore> ScoreWindowBatchOnStack(
       const Tensor& windows, const std::vector<uint64_t>& seeds,
       int degrade_level = 0, Precision precision = Precision::kF32) const;
 
@@ -249,12 +260,21 @@ class ImDiffusionDetector : public AnomalyDetector {
                 Rng* chunk_rng, std::vector<Rng>* per_window_rngs,
                 std::vector<Tensor>* step_diff,
                 std::vector<Tensor>* step_val) const;
+  // Per-(vote step, window) error rows: rows[s][w][position].
+  using ErrorRows = std::vector<std::vector<std::vector<float>>>;
   // Reduces a chunk's accumulated signed residuals to per-(window, position)
   // errors (squared moving-average bias + weighted raw term, feature
   // mean/max aggregation), writing rows[s][row_offset + b].
-  void ErrorRowsFromDiff(
-      const std::vector<Tensor>& step_diff, int64_t bsz, int64_t row_offset,
-      std::vector<std::vector<std::vector<float>>>* rows) const;
+  void ErrorRowsFromDiff(const std::vector<Tensor>& step_diff, int64_t bsz,
+                         int64_t row_offset, ErrorRows* rows) const;
+  // Shared driver of ScoreWindowBatch and ScoreWindowBatchOnStack: checks
+  // the batch, calls score_chunk(chunk, bsz, rows) for every infer_batch
+  // chunk on the compute pool, and gathers the rows into per-window scores.
+  using ChunkScorer =
+      std::function<void(int64_t chunk, int64_t bsz, ErrorRows* rows)>;
+  std::vector<WindowScore> ScoreChunks(const Tensor& windows,
+                                       const std::vector<uint64_t>& seeds,
+                                       const ChunkScorer& score_chunk) const;
   // Scatters per-window rows onto the series and zeroes the warm-up prefix.
   std::vector<float> SeriesFromWindows(
       const std::vector<std::vector<float>>& window_rows,
@@ -280,7 +300,7 @@ class ImDiffusionDetector : public AnomalyDetector {
   double last_mean_error_ = 0.0;
 
   // Captured-graph pool for the seeded scoring path (src/graph). Created
-  // lazily on the first graph-enabled ScoreWindowBatch and dropped wholesale
+  // lazily on the first ScoreWindowBatch and dropped wholesale
   // whenever model_ is replaced (Fit / LoadModel), so a stale capture — which
   // holds raw pointers into the old model's weights — can never execute.
   // shared_ptr because in-flight scoring calls must keep the cache they

@@ -1,9 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "diffusion/ddpm.h"
@@ -18,29 +16,6 @@
 
 namespace imdiff {
 namespace graph {
-
-namespace {
-
-std::atomic<int>& GraphFlag() {
-  static std::atomic<int> flag{-1};  // -1: environment not consulted yet
-  return flag;
-}
-
-}  // namespace
-
-bool GraphEnabled() {
-  int v = GraphFlag().load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* e = std::getenv("IMDIFF_GRAPH");
-    v = (e != nullptr && std::strcmp(e, "0") == 0) ? 0 : 1;
-    GraphFlag().store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
-}
-
-void SetGraphEnabled(bool on) {
-  GraphFlag().store(on ? 1 : 0, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -178,9 +153,6 @@ struct GraphContext::Impl {
   const float* dyn_mask = nullptr;
   int dyn_policy = 0;
   int dyn_t = 0;
-
-  std::atomic<bool> ok_simd{false};
-  std::atomic<bool> ok_scalar{false};
 
   Counter* executions = nullptr;
 
@@ -1232,26 +1204,12 @@ const std::vector<Tensor>& GraphContext::step_diff() const {
   return impl_->step_diff;
 }
 
-bool GraphContext::validated_for_current_mode() const {
-  return simd::Enabled() ? impl_->ok_simd.load(std::memory_order_acquire)
-                         : impl_->ok_scalar.load(std::memory_order_acquire);
-}
-
-void GraphContext::mark_validated_for_current_mode() {
-  if (simd::Enabled()) {
-    impl_->ok_simd.store(true, std::memory_order_release);
-  } else {
-    impl_->ok_scalar.store(true, std::memory_order_release);
-  }
-}
-
 size_t GraphContext::plan_bytes() const { return impl_->plan_bytes(); }
 
 std::unique_ptr<GraphContext> GraphCache::Acquire(int64_t bsz,
                                                   int degrade_level,
                                                   Precision precision,
                                                   const Factory& make) {
-  if (disabled()) return nullptr;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = pool_.find({bsz, degrade_level, static_cast<int>(precision)});
@@ -1266,16 +1224,10 @@ std::unique_ptr<GraphContext> GraphCache::Acquire(int64_t bsz,
 
 void GraphCache::Release(int64_t bsz, int degrade_level, Precision precision,
                          std::unique_ptr<GraphContext> ctx) {
-  if (ctx == nullptr || disabled()) return;
+  if (ctx == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   pool_[{bsz, degrade_level, static_cast<int>(precision)}].push_back(
       std::move(ctx));
-}
-
-void GraphCache::Disable() {
-  disabled_.store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(mu_);
-  pool_.clear();
 }
 
 }  // namespace graph

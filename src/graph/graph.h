@@ -21,20 +21,17 @@
 //    scalar expressions) of the legacy stack, in both the SIMD and the
 //    forced-scalar build modes, so scores stay bitwise identical to the
 //    autograd path for a fixed (content, seed, model, degrade level) — the
-//    DESIGN.md §12 contract. The first execution per (context, kernel mode)
-//    is validated against the legacy stack by the caller (see
-//    ImDiffusionDetector::ScoreWindowBatch); a mismatch disables the cache
-//    and increments graph.validation_failures rather than shipping a wrong
-//    score.
+//    DESIGN.md §12 contract. The executor is the only inference path of
+//    ImDiffusionDetector::ScoreWindowBatch; tests/graph_test.cc holds it to
+//    ScoreWindowBatchOnStack, the layer-stack reference, bit for bit.
 //
-// Escape hatch: IMDIFF_GRAPH=0 in the environment (or SetGraphEnabled(false))
-// routes every chunk through the legacy layer stack. Captured graphs hold raw
-// weight pointers, so a GraphCache must be invalidated whenever the owning
-// detector's model is replaced (Fit / LoadModel); the registry hot-swap path
-// publishes a fresh detector and thus a fresh cache.
+// Captured graphs hold raw weight pointers, so a GraphCache must be
+// invalidated whenever the owning detector's model is replaced (Fit /
+// LoadModel); the registry hot-swap path publishes a fresh detector and thus
+// a fresh cache.
 //
-// Metrics: graph.captures, graph.executions, graph.validation_failures
-// counters and the graph.plan_bytes gauge.
+// Metrics: graph.captures and graph.executions counters and the
+// graph.plan_bytes gauge.
 
 #ifndef IMDIFF_GRAPH_GRAPH_H_
 #define IMDIFF_GRAPH_GRAPH_H_
@@ -55,12 +52,6 @@
 
 namespace imdiff {
 namespace graph {
-
-// True when the graph executor should be used: IMDIFF_GRAPH unset or != "0"
-// in the environment (read once, cached), unless overridden.
-bool GraphEnabled();
-// Runtime override for tests and benchmarks; wins over the environment.
-void SetGraphEnabled(bool on);
 
 // Everything a capture needs about the frozen denoiser and the chunk shape.
 // Built by ImDiffusionDetector (which owns the model) — the raw pointers must
@@ -102,11 +93,6 @@ class GraphContext {
   // until the next ScoreChunk call.
   const std::vector<Tensor>& step_diff() const;
 
-  // First-execution validation bookkeeping, tracked per kernel mode (SIMD /
-  // forced-scalar) because the two modes produce different bit patterns.
-  bool validated_for_current_mode() const;
-  void mark_validated_for_current_mode();
-
   // Size of the static arena plan (the single block backing all
   // intermediates), for benchmarks and the graph.plan_bytes gauge.
   size_t plan_bytes() const;
@@ -124,25 +110,18 @@ class GraphCache {
   using Factory = std::function<std::unique_ptr<GraphContext>()>;
 
   // Returns an idle context for the key, or captures a new one via `make`.
-  // Returns nullptr when the cache has been disabled.
   std::unique_ptr<GraphContext> Acquire(int64_t bsz, int degrade_level,
                                         Precision precision,
                                         const Factory& make);
-  // Returns a context to the pool (no-op when disabled).
+  // Returns a context to the pool.
   void Release(int64_t bsz, int degrade_level, Precision precision,
                std::unique_ptr<GraphContext> ctx);
-
-  // Permanently stops handing out contexts — set after a validation failure
-  // so every later chunk takes the legacy stack.
-  void Disable();
-  bool disabled() const { return disabled_.load(std::memory_order_acquire); }
 
  private:
   std::mutex mu_;
   std::map<std::tuple<int64_t, int, int>,
            std::vector<std::unique_ptr<GraphContext>>>
       pool_;
-  std::atomic<bool> disabled_{false};
 };
 
 }  // namespace graph

@@ -55,9 +55,9 @@ class StreamServer {
     double deadline_seconds = 0.0;
     // >= 0 pins every block to that degradation level, bypassing both the
     // deadline policy and the chaos override. Replay/verification knob: two
-    // runs that differ only in execution backend (e.g. IMDIFF_GRAPH=0 vs 1)
-    // can be compared bitwise at a fixed level without coupling the level
-    // choice to wall-clock cost estimates.
+    // runs that differ only in build or host can be compared bitwise at a
+    // fixed level without coupling the level choice to wall-clock cost
+    // estimates.
     int force_degrade_level = -1;
     // >= 0 pins every block to that scoring precision (a Precision value),
     // the same replay/verification knob for the precision axis: two seeded

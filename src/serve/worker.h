@@ -43,9 +43,6 @@ struct WorkerOptions {
 inline constexpr int kWorkerExitOk = 0;
 inline constexpr int kWorkerExitBindFailed = 1;
 inline constexpr int kWorkerExitCrashed = 2;
-// Graceful shutdown, but a graph capture diverged from the layer stack
-// (graph.validation_failures > 0) during the worker's life.
-inline constexpr int kWorkerExitGraphDiverged = 3;
 
 // Binds `socket_path` and serves the dispatch loop until a kShutdown
 // (graceful: drain, then exit 0) or kCrash (abandon all state immediately,

@@ -1,11 +1,16 @@
-// Tests for the inference graph executor (src/graph): the captured /
-// lowered / arena-planned denoiser must be bitwise identical to the legacy
-// autograd layer stack for every (batch shape, degrade level, kernel mode)
-// combination — the DESIGN.md §12 determinism contract — and captures must
-// be invalidated (and retraced) when the detector's model is hot-swapped.
+// Tests for the inference graph executor (src/graph), the only inference
+// path of ScoreWindowBatch: the captured / lowered / arena-planned denoiser
+// must be bitwise identical to the autograd layer stack
+// (ScoreWindowBatchOnStack) for every model variant, batch shape, degrade
+// level, precision and kernel mode — the DESIGN.md §12 determinism contract —
+// and captures must be invalidated (and retraced) when the detector's model
+// is hot-swapped.
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <ostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,7 +19,6 @@
 
 #include "core/imdiffusion.h"
 #include "data/benchmarks.h"
-#include "graph/graph.h"
 #include "tensor/simd.h"
 #include "utils/metrics.h"
 #include "utils/rng.h"
@@ -100,9 +104,37 @@ int64_t CounterValue(const char* name) {
   return MetricsRegistry::Global().GetCounter(name)->value();
 }
 
+// The first n windows of a [N, K, W] batch.
+Tensor FirstWindows(const Tensor& windows, int64_t n) {
+  Tensor subset =
+      Tensor::Uninitialized({n, windows.dim(1), windows.dim(2)});
+  std::copy_n(windows.data(), n * windows.dim(1) * windows.dim(2),
+              subset.mutable_data());
+  return subset;
+}
+
+// Relative L2 distance of `scores` from `ref` over every (window, vote step,
+// position); +inf when `scores` carries a non-finite value.
+double ScoresRelL2(const std::vector<ImDiffusionDetector::WindowScore>& scores,
+                   const std::vector<ImDiffusionDetector::WindowScore>& ref) {
+  double num = 0.0, den = 0.0;
+  for (size_t w = 0; w < ref.size(); ++w) {
+    for (size_t s = 0; s < ref[w].step_errors.size(); ++s) {
+      for (size_t i = 0; i < ref[w].step_errors[s].size(); ++i) {
+        const double q = scores[w].step_errors[s][i];
+        const double f = ref[w].step_errors[s][i];
+        if (!std::isfinite(q)) return std::numeric_limits<double>::infinity();
+        num += (q - f) * (q - f);
+        den += f * f;
+      }
+    }
+  }
+  return std::sqrt(num / (den + 1e-30));
+}
+
 // Property: every (batch shape x degrade level x forced-scalar on/off)
 // combination scores bitwise identically through the captured graph and the
-// legacy layer stack.
+// layer stack.
 void ExpectGraphMatchesStackEverywhere(int64_t hidden) {
   const ImDiffusionDetector& detector = SharedDetector(hidden);
   const MtsDataset data = GraphDataset();
@@ -110,12 +142,9 @@ void ExpectGraphMatchesStackEverywhere(int64_t hidden) {
       detector.PlanWindows(data.test);
   const int64_t total = plan.windows.dim(0);
   ASSERT_GE(total, 5);
-  const int64_t k = plan.windows.dim(1);
-  const int64_t window = plan.windows.dim(2);
 
-  const int64_t failures_before = CounterValue("graph.validation_failures");
   const int64_t executions_before = CounterValue("graph.executions");
-
+  const bool scalar_before = simd::ForceScalar();
   // 1 window (sub-chunk), 5 (partial tail chunk), and the full plan
   // (multiple chunks, tail partial).
   const std::vector<int64_t> shapes = {1, 5, total};
@@ -123,31 +152,19 @@ void ExpectGraphMatchesStackEverywhere(int64_t hidden) {
     simd::SetForceScalar(force_scalar);
     for (int level = 0; level <= 2; ++level) {
       for (const int64_t n : shapes) {
-        Tensor subset = Tensor::Uninitialized({n, k, window});
-        std::copy_n(plan.windows.data(), n * k * window,
-                    subset.mutable_data());
+        const Tensor subset = FirstWindows(plan.windows, n);
         const std::vector<uint64_t> seeds = SeedsFor(n);
-        graph::SetGraphEnabled(true);
-        const auto graph_scores =
-            detector.ScoreWindowBatch(subset, seeds, level);
-        graph::SetGraphEnabled(false);
-        const auto stack_scores =
-            detector.ScoreWindowBatch(subset, seeds, level);
         ExpectScoresBitwiseEqual(
-            graph_scores, stack_scores,
+            detector.ScoreWindowBatch(subset, seeds, level),
+            detector.ScoreWindowBatchOnStack(subset, seeds, level),
             "hidden=" + std::to_string(hidden) +
                 " scalar=" + std::to_string(force_scalar) +
                 " level=" + std::to_string(level) + " n=" + std::to_string(n));
       }
     }
   }
-  simd::SetForceScalar(false);
-  graph::SetGraphEnabled(true);
-
-  // The graph path actually ran, and no capture failed its first-execution
-  // validation against the legacy stack.
+  simd::SetForceScalar(scalar_before);
   EXPECT_GT(CounterValue("graph.executions"), executions_before);
-  EXPECT_EQ(CounterValue("graph.validation_failures"), failures_before);
 }
 
 TEST(GraphExecutorTest, BitwiseMatchesLegacyStackEverywhere) {
@@ -157,6 +174,84 @@ TEST(GraphExecutorTest, BitwiseMatchesLegacyStackEverywhere) {
 TEST(GraphExecutorTest, BitwiseMatchesLegacyStackWithLaneTails) {
   for (const int64_t hidden : {20, 24}) ExpectGraphMatchesStackEverywhere(hidden);
 }
+
+// Every model variant the executor lowers differently: the conditional
+// model, each attention ablation, scoring on x_t instead of x0, posterior-
+// mean sampling, and the shape of FastImDiffusionConfig (hidden 24, two
+// blocks, one head).
+struct GraphVariant {
+  const char* name;
+  void (*apply)(ImDiffusionConfig* config);
+};
+
+const GraphVariant kGraphVariants[] = {
+    {"Conditional", [](ImDiffusionConfig* c) { c->conditional = true; }},
+    {"NoTemporal", [](ImDiffusionConfig* c) { c->model.use_temporal = false; }},
+    {"NoSpatial", [](ImDiffusionConfig* c) { c->model.use_spatial = false; }},
+    {"ScoreOnXt", [](ImDiffusionConfig* c) { c->score_on_x0 = false; }},
+    {"Deterministic",
+     [](ImDiffusionConfig* c) { c->stochastic_sampling = false; }},
+    {"FastShape",
+     [](ImDiffusionConfig* c) {
+       const ImDiffusionConfig fast = FastImDiffusionConfig();
+       c->model.hidden = fast.model.hidden;
+       c->model.num_blocks = fast.model.num_blocks;
+       c->model.num_heads = fast.model.num_heads;
+       c->model.ff_dim = fast.model.ff_dim;
+       c->model.step_embed_dim = fast.model.step_embed_dim;
+       c->model.side_dim = fast.model.side_dim;
+       c->stochastic_sampling = fast.stochastic_sampling;
+     }},
+};
+
+// Prints the name, so the test's listed name is the same in every build
+// (the default prints the struct's bytes, pointers included).
+void PrintTo(const GraphVariant& variant, std::ostream* os) {
+  *os << variant.name;
+}
+
+class GraphVariantTest : public ::testing::TestWithParam<GraphVariant> {};
+
+// Property: each variant scores bitwise identically through the graph and
+// the stack at every degrade level in both kernel modes. The precision
+// rotates with the level and the mode, so each mode sees every precision
+// once; the full (level x precision x mode) cross runs on the base config in
+// ReducedPrecisionMatchesLegacyStackPerLevel.
+TEST_P(GraphVariantTest, BitwiseMatchesLegacyStackAtEveryRung) {
+  ImDiffusionConfig config = GraphTinyConfig(17);
+  GetParam().apply(&config);
+  ImDiffusionDetector detector(config);
+  detector.Fit(GraphDataset().train);
+  const ImDiffusionDetector::WindowPlan plan =
+      detector.PlanWindows(GraphDataset().test);
+  // Five windows: one full chunk of infer_batch 4 plus a partial tail.
+  const int64_t n = 5;
+  ASSERT_GE(plan.windows.dim(0), n);
+  const Tensor subset = FirstWindows(plan.windows, n);
+  const std::vector<uint64_t> seeds = SeedsFor(n);
+  const Precision precisions[] = {Precision::kF32, Precision::kBf16,
+                                  Precision::kInt8};
+  const bool scalar_before = simd::ForceScalar();
+  for (const bool force_scalar : {false, true}) {
+    simd::SetForceScalar(force_scalar);
+    for (int level = 0; level <= 2; ++level) {
+      const Precision p = precisions[(level + (force_scalar ? 1 : 0)) % 3];
+      ExpectScoresBitwiseEqual(
+          detector.ScoreWindowBatch(subset, seeds, level, p),
+          detector.ScoreWindowBatchOnStack(subset, seeds, level, p),
+          std::string(GetParam().name) + " " + PrecisionName(p) +
+              " scalar=" + std::to_string(force_scalar) +
+              " level=" + std::to_string(level));
+    }
+  }
+  simd::SetForceScalar(scalar_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    GraphVariants, GraphVariantTest, ::testing::ValuesIn(kGraphVariants),
+    [](const ::testing::TestParamInfo<GraphVariant>& info) {
+      return std::string(info.param.name);
+    });
 
 // Property: the compute-thread count never changes a score. With infer_batch
 // 32 every batch below is one chunk, so the pool's threads split the kernels
@@ -175,37 +270,37 @@ TEST(GraphExecutorTest, ScoresBitwiseIdenticalAcrossThreadCounts) {
   const MtsDataset data = GraphDataset();
   const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(data.test);
   const int64_t total = plan.windows.dim(0);
-  const int64_t k = plan.windows.dim(1);
-  const int64_t window = plan.windows.dim(2);
   const size_t threads_before = ComputeThreads();
-  const bool graph_before = graph::GraphEnabled();
-  const int64_t failures_before = CounterValue("graph.validation_failures");
   for (const int64_t n : {int64_t{1}, int64_t{3}, total}) {
-    Tensor subset = Tensor::Uninitialized({n, k, window});
-    std::copy_n(plan.windows.data(), n * k * window, subset.mutable_data());
+    const Tensor subset = FirstWindows(plan.windows, n);
     const std::vector<uint64_t> seeds = SeedsFor(n);
     for (const bool use_graph : {true, false}) {
-      graph::SetGraphEnabled(use_graph);
+      auto score = [&] {
+        return use_graph ? detector.ScoreWindowBatch(subset, seeds, 0)
+                         : detector.ScoreWindowBatchOnStack(subset, seeds, 0);
+      };
       SetComputeThreads(1);
-      const auto serial = detector.ScoreWindowBatch(subset, seeds, 0);
+      const auto serial = score();
       for (const size_t threads : {2, 3, 4, 8}) {
         SetComputeThreads(threads);
         ExpectScoresBitwiseEqual(
-            detector.ScoreWindowBatch(subset, seeds, 0), serial,
+            score(), serial,
             "n=" + std::to_string(n) + " graph=" + std::to_string(use_graph) +
                 " threads=" + std::to_string(threads));
       }
     }
   }
   SetComputeThreads(threads_before);
-  graph::SetGraphEnabled(graph_before);
-  EXPECT_EQ(CounterValue("graph.validation_failures"), failures_before);
 }
 
 // The precision axis obeys the same contract as every other knob: for each
 // (precision x degrade level x forced-scalar) combination the captured graph
-// and the legacy stack score bitwise identically, repeats at one precision
-// are bitwise stable, and reduced precisions genuinely change the bits.
+// and the layer stack score bitwise identically, repeats at one precision
+// are bitwise stable, and reduced precisions genuinely change the bits —
+// but only within a catastrophe bound of the fp32 stack. A correct bf16 or
+// int8 lowering lands far below the bound; a wrong one (bad pack geometry,
+// swapped scales) blows through it. Accuracy proper is judged end to end by
+// the eval accuracy gate, not here.
 TEST(GraphExecutorTest, ReducedPrecisionMatchesLegacyStackPerLevel) {
   // This test requests specific precisions per call; an IMDIFF_PRECISION
   // override (the forced-precision CI legs) would collapse the fp32
@@ -215,53 +310,53 @@ TEST(GraphExecutorTest, ReducedPrecisionMatchesLegacyStackPerLevel) {
   const MtsDataset data = GraphDataset();
   const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(data.test);
   const int64_t n = std::min<int64_t>(5, plan.windows.dim(0));
-  Tensor subset = Tensor::Uninitialized({n, plan.windows.dim(1),
-                                         plan.windows.dim(2)});
-  std::copy_n(plan.windows.data(),
-              n * plan.windows.dim(1) * plan.windows.dim(2),
-              subset.mutable_data());
+  const Tensor subset = FirstWindows(plan.windows, n);
   const std::vector<uint64_t> seeds = SeedsFor(n);
 
-  const int64_t failures_before = CounterValue("graph.validation_failures");
-  auto score = [&](bool use_graph, int level, Precision p) {
-    graph::SetGraphEnabled(use_graph);
-    return detector.ScoreWindowBatch(subset, seeds, level, p);
-  };
+  const bool scalar_before = simd::ForceScalar();
   for (const bool force_scalar : {false, true}) {
     simd::SetForceScalar(force_scalar);
     for (const Precision p : {Precision::kBf16, Precision::kInt8}) {
+      const double bound = p == Precision::kInt8 ? 0.5 : 0.25;
       for (int level = 0; level <= 2; ++level) {
-        const auto graph_scores = score(true, level, p);
-        const auto stack_scores = score(false, level, p);
+        const auto graph_scores =
+            detector.ScoreWindowBatch(subset, seeds, level, p);
         const std::string what = std::string(PrecisionName(p)) +
                                  " scalar=" + std::to_string(force_scalar) +
                                  " level=" + std::to_string(level);
-        ExpectScoresBitwiseEqual(graph_scores, stack_scores, what);
+        ExpectScoresBitwiseEqual(
+            graph_scores,
+            detector.ScoreWindowBatchOnStack(subset, seeds, level, p), what);
         // Same precision scores the same bits on a repeat...
-        ExpectScoresBitwiseEqual(graph_scores, score(true, level, p),
-                                 what + " repeat");
-        // ...and different bits than the fp32 rung.
-        EXPECT_NE(graph_scores[0].step_errors,
-                  score(true, level, Precision::kF32)[0].step_errors)
+        ExpectScoresBitwiseEqual(
+            graph_scores, detector.ScoreWindowBatch(subset, seeds, level, p),
+            what + " repeat");
+        // ...different bits than the fp32 rung, within the bound of the
+        // fp32 stack.
+        const auto f32_stack = detector.ScoreWindowBatchOnStack(
+            subset, seeds, level, Precision::kF32);
+        EXPECT_NE(graph_scores[0].step_errors, f32_stack[0].step_errors)
             << what;
+        EXPECT_LE(ScoresRelL2(graph_scores, f32_stack), bound) << what;
       }
     }
   }
-  simd::SetForceScalar(false);
-  graph::SetGraphEnabled(true);
-  EXPECT_EQ(CounterValue("graph.validation_failures"), failures_before);
+  simd::SetForceScalar(scalar_before);
 }
 
-// Full seeded pass (windowing + scoring + reduction) agrees end to end.
+// Full seeded pass (windowing + scoring + reduction) agrees end to end with
+// the same pass scored on the layer stack.
 TEST(GraphExecutorTest, RunSeededMatchesLegacyStack) {
   const ImDiffusionDetector& detector = SharedDetector();
   const MtsDataset data = GraphDataset();
+  const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(data.test);
+  std::vector<uint64_t> seeds(static_cast<size_t>(plan.windows.dim(0)));
+  for (size_t i = 0; i < seeds.size(); ++i) seeds[i] = MixSeed(7, i);
   for (int level = 0; level <= 2; ++level) {
-    graph::SetGraphEnabled(true);
     const DetectionResult with_graph = detector.RunSeeded(data.test, 7, level);
-    graph::SetGraphEnabled(false);
-    const DetectionResult with_stack = detector.RunSeeded(data.test, 7, level);
-    graph::SetGraphEnabled(true);
+    const DetectionResult with_stack = detector.ReduceWindowScores(
+        detector.ScoreWindowBatchOnStack(plan.windows, seeds, level),
+        plan.starts, plan.length);
     ASSERT_EQ(with_graph.scores.size(), with_stack.scores.size());
     EXPECT_EQ(0, std::memcmp(with_graph.scores.data(),
                              with_stack.scores.data(),
@@ -273,7 +368,7 @@ TEST(GraphExecutorTest, RunSeededMatchesLegacyStack) {
 
 // Hot-swapping the model must drop stale captures (which hold raw pointers
 // into the old weights) and retrace: scoring after LoadModel captures fresh
-// graphs and still matches the legacy stack bitwise.
+// graphs and still matches the layer stack bitwise.
 TEST(GraphExecutorTest, ModelHotSwapInvalidatesAndRetraces) {
   const MtsDataset data = GraphDataset();
   ImDiffusionDetector detector(GraphTinyConfig(23));
@@ -282,7 +377,6 @@ TEST(GraphExecutorTest, ModelHotSwapInvalidatesAndRetraces) {
   const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(data.test);
   const std::vector<uint64_t> seeds = SeedsFor(plan.windows.dim(0));
 
-  graph::SetGraphEnabled(true);
   const int64_t captures0 = CounterValue("graph.captures");
   const auto before = detector.ScoreWindowBatch(plan.windows, seeds, 0);
   const int64_t captures1 = CounterValue("graph.captures");
@@ -302,28 +396,9 @@ TEST(GraphExecutorTest, ModelHotSwapInvalidatesAndRetraces) {
   EXPECT_GT(CounterValue("graph.captures"), captures1)
       << "hot swap must invalidate captured graphs and retrace";
   ExpectScoresBitwiseEqual(before, after, "post-swap");
-
-  graph::SetGraphEnabled(false);
-  const auto stack = detector.ScoreWindowBatch(plan.windows, seeds, 0);
-  graph::SetGraphEnabled(true);
-  ExpectScoresBitwiseEqual(after, stack, "post-swap vs stack");
-}
-
-// The IMDIFF_GRAPH=0 escape hatch (and its runtime override) routes scoring
-// through the legacy stack: no executions, no captures.
-TEST(GraphExecutorTest, DisabledExecutorNeverRuns) {
-  const ImDiffusionDetector& detector = SharedDetector();
-  const MtsDataset data = GraphDataset();
-  const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(data.test);
-  const std::vector<uint64_t> seeds = SeedsFor(plan.windows.dim(0));
-
-  graph::SetGraphEnabled(false);
-  const int64_t executions = CounterValue("graph.executions");
-  const int64_t captures = CounterValue("graph.captures");
-  (void)detector.ScoreWindowBatch(plan.windows, seeds, 0);
-  EXPECT_EQ(CounterValue("graph.executions"), executions);
-  EXPECT_EQ(CounterValue("graph.captures"), captures);
-  graph::SetGraphEnabled(true);
+  ExpectScoresBitwiseEqual(
+      after, detector.ScoreWindowBatchOnStack(plan.windows, seeds, 0),
+      "post-swap vs stack");
 }
 
 }  // namespace

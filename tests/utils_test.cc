@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "utils/check.h"
+#include "utils/flags.h"
 #include "utils/rng.h"
 #include "utils/stopwatch.h"
 #include "utils/thread_pool.h"
@@ -23,6 +24,26 @@ TEST(CheckTest, PassingConditionIsSilent) {
 TEST(CheckDeathTest, FailingConditionAborts) {
   EXPECT_DEATH(IMDIFF_CHECK(false) << "boom", "check failed");
   EXPECT_DEATH(IMDIFF_CHECK_EQ(1, 2), "1 +vs +2");
+}
+
+TEST(FlagsTest, ParsesWholeNumbersThatFit) {
+  EXPECT_EQ(FlagValue<int64_t>("--block", "-12"), -12);
+  EXPECT_EQ(FlagValue<int>("--workers", "2147483647"), 2147483647);
+  EXPECT_EQ(FlagValue<uint64_t>("--seed", "18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(FlagValue<double>("--flush-ms", "10.000000"), 10.0);
+  EXPECT_EQ(FlagValue<double>("--deadline-ms", "1e3"), 1000.0);
+}
+
+TEST(FlagsDeathTest, RejectsWhatAtoiWouldCoerceNamingTheFlag) {
+  EXPECT_DEATH(FlagValue<int64_t>("--block", "12x"), "--block wants .*'12x'");
+  EXPECT_DEATH(FlagValue<int64_t>("--queue", ""), "--queue wants .*''");
+  EXPECT_DEATH(FlagValue<int64_t>("--shards", "9223372036854775808"),
+               "--shards wants an integer in");
+  EXPECT_DEATH(FlagValue<int>("--workers", "2147483648"), "--workers wants");
+  EXPECT_DEATH(FlagValue<uint64_t>("--seed", "-1"), "--seed wants");
+  EXPECT_DEATH(FlagValue<double>("--flush-ms", "1e999"),
+               "--flush-ms wants a finite number, got '1e999'");
+  EXPECT_DEATH(FlagValue<double>("--refresh-psi", "nan"), "--refresh-psi");
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {

@@ -103,6 +103,7 @@
 #include "serve/router.h"
 #include "serve/worker.h"
 #include "utils/fault.h"
+#include "utils/flags.h"
 #include "utils/logging.h"
 #include "utils/metrics.h"
 #include "utils/stopwatch.h"
@@ -579,25 +580,25 @@ int RunShardedLoad(const ReplayFlags& flags, const MinMaxStats& norm,
   for (int64_t s = 0; s < flags.shards; ++s) {
     std::vector<std::string> args = {
         "--socket",        ShardSocketPath(flags.socket_dir, s),
-        "--shard-id",      std::to_string(s),
-        "--block",         std::to_string(flags.block),
-        "--context",       std::to_string(flags.context),
-        "--flush-ms",      std::to_string(flags.flush_ms),
-        "--batch-windows", std::to_string(flags.batch_windows),
-        "--queue",         std::to_string(flags.queue),
-        "--workers",       std::to_string(worker_threads),
-        "--max-resident",  std::to_string(flags.max_resident),
-        "--max-stashed",   std::to_string(flags.max_stashed),
-        "--seed",          std::to_string(flags.seed),
-        "--deadline-ms",   std::to_string(flags.deadline_ms),
+        "--shard-id",      FormatFlag(s),
+        "--block",         FormatFlag(flags.block),
+        "--context",       FormatFlag(flags.context),
+        "--flush-ms",      FormatFlag(flags.flush_ms),
+        "--batch-windows", FormatFlag(flags.batch_windows),
+        "--queue",         FormatFlag(flags.queue),
+        "--workers",       FormatFlag(worker_threads),
+        "--max-resident",  FormatFlag(flags.max_resident),
+        "--max-stashed",   FormatFlag(flags.max_stashed),
+        "--seed",          FormatFlag(flags.seed),
+        "--deadline-ms",   FormatFlag(flags.deadline_ms),
     };
     if (flags.epochs >= 0) {
       args.push_back("--epochs");
-      args.push_back(std::to_string(flags.epochs));
+      args.push_back(FormatFlag(flags.epochs));
     }
     if (flags.force_degrade >= 0) {
       args.push_back("--force-degrade");
-      args.push_back(std::to_string(flags.force_degrade));
+      args.push_back(FormatFlag(flags.force_degrade));
     }
     if (flags.force_precision >= 0) {
       args.push_back("--precision");
@@ -606,21 +607,21 @@ int RunShardedLoad(const ReplayFlags& flags, const MinMaxStats& norm,
     }
     if (flags.refresh_every > 0) {
       args.push_back("--refresh-every");
-      args.push_back(std::to_string(flags.refresh_every));
+      args.push_back(FormatFlag(flags.refresh_every));
       args.push_back("--refresh-recent");
-      args.push_back(std::to_string(flags.refresh_recent));
+      args.push_back(FormatFlag(flags.refresh_recent));
       args.push_back("--shadow-fraction");
-      args.push_back(std::to_string(flags.shadow_fraction));
+      args.push_back(FormatFlag(flags.shadow_fraction));
       args.push_back("--verdict-pairs");
-      args.push_back(std::to_string(flags.verdict_pairs));
+      args.push_back(FormatFlag(flags.verdict_pairs));
       args.push_back("--refresh-psi");
-      args.push_back(std::to_string(flags.refresh_psi));
+      args.push_back(FormatFlag(flags.refresh_psi));
       args.push_back("--refresh-ks");
-      args.push_back(std::to_string(flags.refresh_ks));
+      args.push_back(FormatFlag(flags.refresh_ks));
       args.push_back("--refresh-mean-ratio");
-      args.push_back(std::to_string(flags.refresh_mean_ratio));
+      args.push_back(FormatFlag(flags.refresh_mean_ratio));
       args.push_back("--refresh-epochs");
-      args.push_back(std::to_string(flags.refresh_epochs));
+      args.push_back(FormatFlag(flags.refresh_epochs));
     }
     ShardProcess p;
     p.id = s;
@@ -1057,9 +1058,12 @@ int Main(int argc, char** argv) {
 
   if (!flags.scores_out.empty()) {
     // Hex-exact dump for cross-run bitwise comparison: one line per tenant
-    // ("tenant score score ..."), then the fault-visible counters. Two runs
-    // with identical flags (including --faults/--fault-seed) must produce
-    // byte-identical files.
+    // ("tenant score score ..."), then the fault counters that change what
+    // is scored. Two runs with identical flags (including
+    // --faults/--fault-seed) must produce byte-identical files, and so must
+    // two builds that score identically. arena.fallback stays out: it
+    // counts allocator traffic, which a build may change without changing a
+    // score (it is in the log line and --metrics-out).
     std::ofstream out(flags.scores_out);
     for (const auto& [tenant, scores] : served.scores) {
       out << tenant;
@@ -1072,7 +1076,6 @@ int Main(int argc, char** argv) {
     }
     out << "serve.degraded_blocks " << degraded << "\n";
     out << "serve.precision_drops " << precision_drops << "\n";
-    out << "arena.fallback " << arena_fallbacks << "\n";
     out.flush();
     if (out.good()) {
       IMDIFF_LOG(Info) << "score dump written to " << flags.scores_out;

@@ -1,8 +1,11 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <array>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "diffusion/ddpm.h"
 #include "tensor/arena.h"
@@ -103,6 +106,107 @@ struct BufferInfo {
 
 constexpr size_t kAlignFloats = 16;  // keep 64-byte alignment inside the block
 
+// Rows of the per-op time breakdown, exported as graph.op_seconds.<name>:
+// the OpKinds in enum order with kAttention split into its three phases,
+// then the chain glue that ScoreChunk runs around the forwards.
+enum OpTime : int {
+  kTimeStacked,
+  kTimeLinear,
+  kTimeAddRowBcast,
+  kTimeAddSide,
+  kTimePermuteToSpatial,
+  kTimePermuteFromSpatial,
+  kTimeAttentionQkv,
+  kTimeAttentionCore,
+  kTimeAttentionOut,
+  kTimeFfn,
+  kTimeGate,
+  kTimeResSkip,
+  kTimeScale,
+  kTimeGlue,
+  kOpTimes
+};
+
+constexpr const char* kOpTimeNames[kOpTimes] = {
+    "stacked",       "linear",         "add_row_bcast",
+    "add_side",      "permute_to_spatial", "permute_from_spatial",
+    "attention_qkv", "attention_core", "attention_out",
+    "ffn",           "gate",           "res_skip",
+    "scale",         "glue"};
+
+// The row an op's time lands in. RunAttention laps its QKV and core phases
+// itself, so what is left when a kAttention op ends is its output phase.
+OpTime OpTimeOf(OpKind kind) {
+  switch (kind) {
+    case OpKind::kStacked: return kTimeStacked;
+    case OpKind::kLinear: return kTimeLinear;
+    case OpKind::kAddRowBcast: return kTimeAddRowBcast;
+    case OpKind::kAddSide: return kTimeAddSide;
+    case OpKind::kPermuteToSpatial: return kTimePermuteToSpatial;
+    case OpKind::kPermuteFromSpatial: return kTimePermuteFromSpatial;
+    case OpKind::kAttention: return kTimeAttentionOut;
+    case OpKind::kFfn: return kTimeFfn;
+    case OpKind::kGate: return kTimeGate;
+    case OpKind::kResSkip: return kTimeResSkip;
+    case OpKind::kScale: return kTimeScale;
+  }
+  return kTimeGlue;
+}
+
+// Lap timer behind graph.op_seconds.*: Lap(row) charges the time since the
+// previous lap to `row`, so the laps of one chunk tile it without gaps, and
+// Finish() records each row's chunk total as one observation. With metrics
+// off, Start() is a single relaxed load and Lap/Finish test a member flag.
+class OpTimer {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  // Looks up the histograms of the rows `ops` can reach, plus glue.
+  void Register(const std::vector<Op>& ops) {
+    auto add = [&](int row) {
+      if (hist_[static_cast<size_t>(row)] != nullptr) return;
+      hist_[static_cast<size_t>(row)] = MetricsRegistry::Global().GetHistogram(
+          std::string("graph.op_seconds.") + kOpTimeNames[row]);
+    };
+    add(kTimeGlue);
+    for (const Op& op : ops) {
+      if (op.kind == OpKind::kAttention) {
+        add(kTimeAttentionQkv);
+        add(kTimeAttentionCore);
+      }
+      add(OpTimeOf(op.kind));
+    }
+  }
+
+  void Start() {
+    on_ = MetricsEnabled();
+    if (!on_) return;
+    seconds_.fill(0.0);
+    last_ = Clock::now();
+  }
+
+  void Lap(int row) {
+    if (!on_) return;
+    const Clock::time_point now = Clock::now();
+    seconds_[static_cast<size_t>(row)] +=
+        std::chrono::duration<double>(now - last_).count();
+    last_ = now;
+  }
+
+  void Finish() {
+    if (!on_) return;
+    for (size_t i = 0; i < hist_.size(); ++i) {
+      if (hist_[i] != nullptr) hist_[i]->Record(seconds_[i]);
+    }
+  }
+
+ private:
+  bool on_ = false;
+  Clock::time_point last_;
+  std::array<double, kOpTimes> seconds_{};
+  std::array<Histogram*, kOpTimes> hist_{};
+};
+
 size_t AlignUp(size_t f) { return (f + kAlignFloats - 1) & ~(kAlignFloats - 1); }
 
 }  // namespace
@@ -155,6 +259,7 @@ struct GraphContext::Impl {
   int dyn_t = 0;
 
   Counter* executions = nullptr;
+  OpTimer timer;
 
   // ---- Capture ----------------------------------------------------------
 
@@ -570,6 +675,7 @@ struct GraphContext::Impl {
         .GetGauge("graph.plan_bytes")
         ->Set(static_cast<double>(plan_bytes()));
     executions = MetricsRegistry::Global().GetCounter("graph.executions");
+    timer.Register(ops);
   }
 
   // First-fit linear-scan assignment of planned buffers into one block,
@@ -646,22 +752,11 @@ struct GraphContext::Impl {
   void RunLinear(const Weight& w, const float* a, float* c, int64_t rows,
                  bool relu) {
     const size_t grain = gemm::RowGrain(2 * w.in * w.out);
-    ParallelForRange(
-        ComputePool(), static_cast<size_t>(rows), grain,
-        [&](size_t begin, size_t end) {
-          const int64_t rb = static_cast<int64_t>(begin);
-          const int64_t re = static_cast<int64_t>(end);
-          GemmRowsCore(w, a, c, rows, rb, re);
-          for (int64_t r = rb; r < re; ++r) {
-            float* row = c + r * w.out;
-            if (w.bias != nullptr) simd::AddInto(row, row, w.bias, w.out);
-            if (relu) {
-              for (int64_t j = 0; j < w.out; ++j) {
-                row[j] = row[j] > 0.0f ? row[j] : 0.0f;
-              }
-            }
-          }
-        });
+    ParallelForRange(ComputePool(), static_cast<size_t>(rows), grain,
+                     [&](size_t begin, size_t end) {
+                       GemmRows(w, a, c, rows, static_cast<int64_t>(begin),
+                                static_cast<int64_t>(end), relu, nullptr);
+                     });
   }
 
   // Rows [rb, re) of LayerNorm(x) into `out` — the row body of
@@ -680,40 +775,48 @@ struct GraphContext::Impl {
     }
   }
 
-  // Rows [rb, re) of c = a @ W (no bias, no epilogue) at the context's
-  // precision — the single GEMM body every lowered Linear shares. Row-local
-  // like the underlying kernels, so it is safe inside any row partition.
-  void GemmRowsCore(const Weight& w, const float* a, float* c, int64_t rows,
-                    int64_t rb, int64_t re) {
-    if (precision == Precision::kBf16) {
-      quant::GemmRowsBf16(a, w.packed_bf16, c, w.in, w.out, rb, re);
-      return;
-    }
-    if (precision == Precision::kInt8) {
-      quant::GemmRowsInt8(a, w.packed_int8, c, w.in, w.out, rb, re);
-      return;
-    }
+  // Rows [rb, re) of v = a @ W + b, then v = max(v, 0) when `relu`, stored
+  // as c = v — or, when `residual` is set, accumulated as c = c + v (the
+  // encoder's residual add). This is the single GEMM body every lowered
+  // Linear shares. The fp32 SIMD GEMM applies that epilogue in registers
+  // (gemm::Epilogue). The bf16, int8 and scalar GEMMs have none, so they
+  // store the product (into `residual` when accumulating, else into c) and
+  // run the same IEEE operations as separate row passes; both routes give
+  // the same bits. Row-local like the underlying kernels, so it is safe
+  // inside any row partition.
+  void GemmRows(const Weight& w, const float* a, float* c, int64_t rows,
+                int64_t rb, int64_t re, bool relu, float* residual) {
 #if defined(IMDIFF_SIMD_ANY)
-    if (simd::Enabled()) {
-      gemm::GemmRowsPrepacked(a, w.packed.data(), c, rows, w.in, w.out, rb, re);
+    if (precision == Precision::kF32 && simd::Enabled()) {
+      gemm::Epilogue ep;
+      ep.bias = w.bias;
+      ep.relu = relu;
+      ep.accumulate = residual != nullptr;
+      gemm::GemmRowsPrepacked(a, w.packed.data(), c, rows, w.in, w.out, rb, re,
+                              ep);
       return;
     }
 #endif
-    std::memset(c + rb * w.out, 0,
-                static_cast<size_t>((re - rb) * w.out) * sizeof(float));
-    gemm::MatMulRowsScalar(a, w.w, c, rows, w.in, w.out, false, false, rb, re);
-  }
-
-  // Rows [rb, re) of c = a @ W + b for an encoder sub-layer, inside an
-  // already-parallel row range.
-  void GemmRowsBias(const Weight& w, const float* a, float* c, int64_t rows,
-                    int64_t rb, int64_t re) {
-    GemmRowsCore(w, a, c, rows, rb, re);
-    if (w.bias != nullptr) {
-      for (int64_t r = rb; r < re; ++r) {
-        float* row = c + r * w.out;
-        simd::AddInto(row, row, w.bias, w.out);
+    float* out = residual != nullptr ? residual : c;
+    if (precision == Precision::kBf16) {
+      quant::GemmRowsBf16(a, w.packed_bf16, out, w.in, w.out, rb, re);
+    } else if (precision == Precision::kInt8) {
+      quant::GemmRowsInt8(a, w.packed_int8, out, w.in, w.out, rb, re);
+    } else {
+      std::memset(out + rb * w.out, 0,
+                  static_cast<size_t>((re - rb) * w.out) * sizeof(float));
+      gemm::MatMulRowsScalar(a, w.w, out, rows, w.in, w.out, false, false, rb,
+                             re);
+    }
+    for (int64_t r = rb; r < re; ++r) {
+      float* row = out + r * w.out;
+      if (w.bias != nullptr) simd::AddInto(row, row, w.bias, w.out);
+      if (relu) {
+        for (int64_t j = 0; j < w.out; ++j) {
+          row[j] = row[j] > 0.0f ? row[j] : 0.0f;
+        }
       }
+      if (residual != nullptr) simd::AddInPlace(c + r * w.out, row, w.out);
     }
   }
 
@@ -748,7 +851,7 @@ struct GraphContext::Impl {
           float* outs[3] = {qh, kh, vh};
           for (int wi = 0; wi < 3; ++wi) {
             float* gdst = heads > 1 ? tmp : outs[wi];
-            GemmRowsBias(*ws[wi], ln, gdst, rows, rb, re);
+            GemmRows(*ws[wi], ln, gdst, rows, rb, re, false, nullptr);
             if (heads > 1) {
               for (int64_t r = rb; r < re; ++r) {
                 const int64_t item = r / len;
@@ -763,6 +866,8 @@ struct GraphContext::Impl {
             }
           }
         });
+
+    timer.Lap(kTimeAttentionQkv);
 
     // Per-(sequence, head) scaled-dot-product attention.
     const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
@@ -812,6 +917,7 @@ struct GraphContext::Impl {
                                  len);
         },
         gemm::RowGrain(2 * len * dh * len));
+    timer.Lap(kTimeAttentionCore);
 
     // Merge heads (gather per range) + output projection + residual.
     ParallelForRange(
@@ -830,10 +936,7 @@ struct GraphContext::Impl {
               }
             }
           }
-          GemmRowsBias(wo, merged, ln, rows, rb, re);
-          for (int64_t r = rb; r < re; ++r) {
-            simd::AddInPlace(x + r * D, ln + r * D, D);
-          }
+          GemmRows(wo, merged, x, rows, rb, re, false, ln);
         });
   }
 
@@ -853,12 +956,9 @@ struct GraphContext::Impl {
           const int64_t rb = static_cast<int64_t>(begin);
           const int64_t re = static_cast<int64_t>(end);
           NormRows(nm, x, ln, rb, re);
-          GemmRowsBias(fc1, ln, ffh, rows, rb, re);
+          GemmRows(fc1, ln, ffh, rows, rb, re, false, nullptr);
           simd::GeluInto(ffh + rb * FF, ffh + rb * FF, (re - rb) * FF);
-          GemmRowsBias(fc2, ffh, ln, rows, rb, re);
-          for (int64_t r = rb; r < re; ++r) {
-            simd::AddInPlace(x + r * D, ln + r * D, D);
-          }
+          GemmRows(fc2, ffh, x, rows, rb, re, false, ln);
         });
   }
 
@@ -1018,6 +1118,7 @@ struct GraphContext::Impl {
           break;
         }
       }
+      timer.Lap(OpTimeOf(op.kind));
     }
   }
 
@@ -1076,6 +1177,7 @@ struct GraphContext::Impl {
   }
 
   void ScoreChunk(const float* windows, const uint64_t* seeds) {
+    timer.Start();
     executions->Increment();
     for (Tensor& sd : step_diff) {
       std::memset(sd.mutable_data(), 0,
@@ -1138,6 +1240,7 @@ struct GraphContext::Impl {
             nr[i] = q * mask[i];
           }
         }
+        timer.Lap(kTimeGlue);
         RunForward();
         const bool is_vote =
             vote_idx < num_votes && t == vote_ts[vote_idx];
@@ -1182,6 +1285,8 @@ struct GraphContext::Impl {
         }
       }
     }
+    timer.Lap(kTimeGlue);
+    timer.Finish();
   }
 
   size_t plan_bytes() const { return total_floats * sizeof(float); }

@@ -30,8 +30,10 @@
 // LoadModel); the registry hot-swap path publishes a fresh detector and thus
 // a fresh cache.
 //
-// Metrics: graph.captures and graph.executions counters and the
-// graph.plan_bytes gauge.
+// Metrics: graph.captures and graph.executions counters, the
+// graph.plan_bytes gauge, and one graph.op_seconds.<op> histogram per op kind
+// of the program plus `glue` (the chain arithmetic between forwards); each
+// chunk records its per-kind totals, which sum to the chunk's time.
 
 #ifndef IMDIFF_GRAPH_GRAPH_H_
 #define IMDIFF_GRAPH_GRAPH_H_

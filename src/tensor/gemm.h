@@ -77,12 +77,26 @@ inline size_t PackedBFloats(int64_t k, int64_t n) {
 }
 void PackBFull(const float* b, int64_t k, int64_t n, bool tb, float* packed);
 
-// Rows [row_begin, row_end) of c = a * packed_b with b prepacked by
-// PackBFull. `a` must be the non-transposed [m, k] layout (the executor's
-// activations always are). Zero scratch, zero packing work per call.
+// What a GEMM does with each finished output element v = sum_p a * b before
+// its single store, in this order: v = v + bias[j] (when bias is set), then
+// v = v > 0 ? v : 0 (when relu), then c = c_old + v (when accumulate; else
+// c = v). These are the IEEE operations of the separate bias, ReLU and
+// residual row passes (AddInto, the ReLU loop, AddInPlace) in the same order,
+// so the fused result is bitwise identical to running those passes after a
+// plain GEMM; only the round trip through memory is gone.
+struct Epilogue {
+  const float* bias = nullptr;  // [n], or null for no bias
+  bool relu = false;
+  bool accumulate = false;
+};
+
+// Rows [row_begin, row_end) of c = epilogue(a * packed_b) with b prepacked
+// by PackBFull. `a` must be the non-transposed [m, k] layout (the executor's
+// activations always are). Zero scratch, zero packing work per call; the
+// epilogue runs in registers and each covered element is stored once.
 void GemmRowsPrepacked(const float* a, const float* packed_b, float* c,
                        int64_t m, int64_t k, int64_t n, int64_t row_begin,
-                       int64_t row_end);
+                       int64_t row_end, const Epilogue& epilogue = {});
 
 #endif  // IMDIFF_SIMD_ANY
 

@@ -240,6 +240,15 @@ inline VecF VFma(VecF a, VecF b, VecF c) { return _mm512_fmadd_ps(a, b, c); }
 inline VecF VFloor(VecF a) {
   return _mm512_roundscale_ps(a, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
 }
+// Lanes [0, n) of p, n in [0, kVectorWidth]; lanes from n up read as zero and
+// their memory is never touched (masked lanes do not fault).
+inline VecF VLoadPartial(const float* p, int n) {
+  return _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << n) - 1u), p);
+}
+// Stores lanes [0, n) of v; memory from p + n up is never written.
+inline void VStorePartial(float* p, VecF v, int n) {
+  _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << n) - 1u), v);
+}
 
 // extractf64x4 + cast instead of extractf32x8 keeps this AVX512F-only (no DQ).
 inline __m256 VLow256(VecF v) { return _mm512_castps512_ps256(v); }
@@ -305,6 +314,17 @@ inline VecF VMin(VecF a, VecF b) { return _mm256_min_ps(a, b); }
 // a*b + c, single rounding.
 inline VecF VFma(VecF a, VecF b, VecF c) { return _mm256_fmadd_ps(a, b, c); }
 inline VecF VFloor(VecF a) { return _mm256_floor_ps(a); }
+// Partial-vector load/store, same contract as the AVX-512 pair.
+inline __m256i LaneMask(int n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+inline VecF VLoadPartial(const float* p, int n) {
+  return _mm256_maskload_ps(p, LaneMask(n));
+}
+inline void VStorePartial(float* p, VecF v, int n) {
+  _mm256_maskstore_ps(p, LaneMask(n), v);
+}
 
 inline float VHsum(VecF v) {
   const __m128 lo = _mm256_castps256_ps128(v);
@@ -361,6 +381,18 @@ inline VecF VMax(VecF a, VecF b) { return vmaxq_f32(a, b); }
 inline VecF VMin(VecF a, VecF b) { return vminq_f32(a, b); }
 inline VecF VFma(VecF a, VecF b, VecF c) { return vfmaq_f32(c, a, b); }
 inline VecF VFloor(VecF a) { return vrndmq_f32(a); }
+// Partial-vector load/store, same contract as the AVX-512 pair. NEON has no
+// masked memory ops, so the helpers go through a lane buffer.
+inline VecF VLoadPartial(const float* p, int n) {
+  float lanes[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  std::memcpy(lanes, p, sizeof(float) * static_cast<size_t>(n));
+  return vld1q_f32(lanes);
+}
+inline void VStorePartial(float* p, VecF v, int n) {
+  float lanes[4];
+  vst1q_f32(lanes, v);
+  std::memcpy(p, lanes, sizeof(float) * static_cast<size_t>(n));
+}
 inline float VHsum(VecF v) { return vaddvq_f32(v); }
 inline float VHmax(VecF v) { return vmaxvq_f32(v); }
 
@@ -384,6 +416,21 @@ inline VecF VExp(VecF x) {
 }
 
 #endif  // vector type
+
+#if defined(IMDIFF_SIMD_ANY)
+// max(v, 0) with the semantics of the scalar `v > 0 ? v : 0`: -0 and NaN map
+// to +0. The x86 max returns its second operand unless the first is greater,
+// so the operand order of VMax(v, zero) is what makes -0/NaN -> +0; NEON's
+// vmaxq propagates NaN, so it selects on the comparison instead.
+inline VecF VRelu(VecF v) {
+#if defined(IMDIFF_SIMD_NEON)
+  const VecF zero = VZero();
+  return vbslq_f32(vcgtq_f32(v, zero), v, zero);
+#else
+  return VMax(v, VZero());
+#endif
+}
+#endif
 
 // ---- Array kernels ----------------------------------------------------------
 //

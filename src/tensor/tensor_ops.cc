@@ -70,11 +70,26 @@ void PackBPanel(const float* b, int64_t k, int64_t n, bool tb, int64_t j0,
   }
 }
 
-// MR x kNRVec register tile: c[r][j0 + jj] = sum_p a[r][p] * panel[p][jj].
+// The first `live` lanes at p: full-width ops when the register is full,
+// masked partial ops on a panel's right edge.
+inline simd::VecF LoadLanes(const float* p, int live) {
+  return live == simd::kVectorWidth ? simd::VLoad(p)
+                                    : simd::VLoadPartial(p, live);
+}
+inline void StoreLanes(float* p, simd::VecF v, int live) {
+  if (live == simd::kVectorWidth) {
+    simd::VStore(p, v);
+  } else {
+    simd::VStorePartial(p, v, live);
+  }
+}
+
+// MR x kNRVec register tile: c[r][j0 + jj] = ep(sum_p a[r][p] * panel[p][jj]).
 // `arows` holds MR contiguous rows of stride k; `jr` columns are stored.
 template <int MR>
 void MicroKernelVec(const float* arows, int64_t k, const float* panel, float* c,
-                    int64_t n, int64_t j0, int64_t jr) {
+                    int64_t n, int64_t j0, int64_t jr,
+                    const gemm::Epilogue& ep) {
   using simd::VecF;
   constexpr int W = simd::kVectorWidth;
   VecF acc0[MR], acc1[MR];
@@ -91,18 +106,39 @@ void MicroKernelVec(const float* arows, int64_t k, const float* panel, float* c,
       acc1[r] = simd::VFma(av, b1, acc1[r]);
     }
   }
-  if (jr == kNRVec) {
+  // Live output lanes of each accumulator; acc1 is dead when jr <= W.
+  const int live0 = static_cast<int>(std::min<int64_t>(jr, W));
+  const int live1 = static_cast<int>(jr) - live0;
+  // Epilogue in registers, in the order of the passes it replaces.
+  if (ep.bias != nullptr) {
+    const VecF bias0 = LoadLanes(ep.bias + j0, live0);
+    const VecF bias1 =
+        live1 > 0 ? LoadLanes(ep.bias + j0 + W, live1) : simd::VZero();
     for (int r = 0; r < MR; ++r) {
-      simd::VStore(c + r * n + j0, acc0[r]);
-      simd::VStore(c + r * n + j0 + W, acc1[r]);
+      acc0[r] = simd::VAdd(acc0[r], bias0);
+      acc1[r] = simd::VAdd(acc1[r], bias1);
     }
-  } else {
-    float tmp[2 * W];
+  }
+  if (ep.relu) {
     for (int r = 0; r < MR; ++r) {
-      simd::VStore(tmp, acc0[r]);
-      simd::VStore(tmp + W, acc1[r]);
-      std::memcpy(c + r * n + j0, tmp, sizeof(float) * static_cast<size_t>(jr));
+      acc0[r] = simd::VRelu(acc0[r]);
+      acc1[r] = simd::VRelu(acc1[r]);
     }
+  }
+  if (ep.accumulate) {
+    // Every c_old of the tile is loaded before the tile's first store: a
+    // load overlapping the footprint of an in-flight masked store cannot be
+    // forwarded from it and stalls until the store retires.
+    for (int r = 0; r < MR; ++r) {
+      const float* crow = c + r * n + j0;
+      acc0[r] = simd::VAdd(LoadLanes(crow, live0), acc0[r]);
+      if (live1 > 0) acc1[r] = simd::VAdd(LoadLanes(crow + W, live1), acc1[r]);
+    }
+  }
+  for (int r = 0; r < MR; ++r) {
+    float* crow = c + r * n + j0;
+    StoreLanes(crow, acc0[r], live0);
+    if (live1 > 0) StoreLanes(crow + W, acc1[r], live1);
   }
 }
 
@@ -110,23 +146,24 @@ void MicroKernelVec(const float* arows, int64_t k, const float* panel, float* c,
 // panel covering columns [j0, j0+jr).
 void MicroKernelRows(const float* abase, int64_t k, const float* panel,
                      float* c, int64_t n, int64_t j0, int64_t jr,
-                     int64_t row_begin, int64_t rows) {
+                     int64_t row_begin, int64_t rows,
+                     const gemm::Epilogue& ep = {}) {
   for (int64_t i0 = 0; i0 < rows; i0 += kMR) {
     const int64_t mr = std::min<int64_t>(kMR, rows - i0);
     const float* arows = abase + i0 * k;
     float* crow = c + (row_begin + i0) * n;
     switch (mr) {
       case 1:
-        MicroKernelVec<1>(arows, k, panel, crow, n, j0, jr);
+        MicroKernelVec<1>(arows, k, panel, crow, n, j0, jr, ep);
         break;
       case 2:
-        MicroKernelVec<2>(arows, k, panel, crow, n, j0, jr);
+        MicroKernelVec<2>(arows, k, panel, crow, n, j0, jr, ep);
         break;
       case 3:
-        MicroKernelVec<3>(arows, k, panel, crow, n, j0, jr);
+        MicroKernelVec<3>(arows, k, panel, crow, n, j0, jr, ep);
         break;
       default:
-        MicroKernelVec<4>(arows, k, panel, crow, n, j0, jr);
+        MicroKernelVec<4>(arows, k, panel, crow, n, j0, jr, ep);
         break;
     }
   }
@@ -178,7 +215,7 @@ void PackBFull(const float* b, int64_t k, int64_t n, bool tb, float* packed) {
 
 void GemmRowsPrepacked(const float* a, const float* packed_b, float* c,
                        int64_t m, int64_t k, int64_t n, int64_t row_begin,
-                       int64_t row_end) {
+                       int64_t row_end, const Epilogue& epilogue) {
   (void)m;
   const int64_t rows = row_end - row_begin;
   if (rows <= 0 || n <= 0) return;
@@ -189,7 +226,8 @@ void GemmRowsPrepacked(const float* a, const float* packed_b, float* c,
   for (int64_t j0 = 0; j0 < n; j0 += kNRVec) {
     const int64_t jr = std::min<int64_t>(kNRVec, n - j0);
     const float* panel = packed_b + (j0 / kNRVec) * (k * kNRVec);
-    MicroKernelRows(abase, k, panel, c, n, j0, jr, row_begin, rows);
+    MicroKernelRows(abase, k, panel, c, n, j0, jr, row_begin, rows,
+                    epilogue);
   }
 }
 

@@ -38,6 +38,18 @@ T FlagValue(const char* flag, const char* value) {
   return v;
 }
 
+// The shortest decimal text that FlagValue<T> parses back to exactly `v`
+// (std::to_chars), for handing a parsed flag on to a child process.
+// std::to_string formats floating point with "%f", so a forwarded 1e-7 would
+// arrive as "0.000000".
+template <typename T>
+std::string FormatFlag(T v) {
+  char buf[64];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  IMDIFF_CHECK(r.ec == std::errc()) << "cannot format flag value";
+  return std::string(buf, r.ptr);
+}
+
 }  // namespace imdiff
 
 #endif  // IMDIFF_UTILS_FLAGS_H_

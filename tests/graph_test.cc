@@ -401,5 +401,57 @@ TEST(GraphExecutorTest, ModelHotSwapInvalidatesAndRetraces) {
       "post-swap vs stack");
 }
 
+// graph.op_seconds.<op> must account for the chunk: every op kind of the
+// program (attention split into its QKV, core and output phases) plus the
+// chain glue records one observation per scored chunk, and over three warm
+// scoring passes the rows sum to within 5% of detector.window_score_seconds,
+// the independent timer around the same chunks. With metrics off the rows
+// record nothing.
+TEST(GraphExecutorTest, OpSecondsSumToChunkTime) {
+  const ImDiffusionDetector& detector = SharedDetector();
+  const MtsDataset data = GraphDataset();
+  const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(data.test);
+  const std::vector<uint64_t> seeds = SeedsFor(plan.windows.dim(0));
+  detector.ScoreWindowBatch(plan.windows, seeds, 0);  // capture outside
+
+  MetricsRegistry& registry = MetricsRegistry::Global();
+  const std::vector<std::string> rows = {
+      "stacked",       "linear",         "add_row_bcast", "add_side",
+      "attention_qkv", "attention_core", "attention_out", "ffn",
+      "gate",          "res_skip",       "scale",         "glue"};
+  ASSERT_TRUE(MetricsEnabled());
+  registry.Reset();
+  for (int pass = 0; pass < 3; ++pass) {
+    detector.ScoreWindowBatch(plan.windows, seeds, 0);
+  }
+  const int64_t chunks = CounterValue("graph.executions");
+  ASSERT_GT(chunks, 0);
+  double op_sum = 0.0;
+  for (const std::string& row : rows) {
+    const Histogram* h = registry.GetHistogram("graph.op_seconds." + row);
+    EXPECT_EQ(h->count(), chunks) << row;
+    EXPECT_GT(h->sum(), 0.0) << row;
+    op_sum += h->sum();
+  }
+  // The spatial permutes run only when the model has spatial layers.
+  for (const char* row : {"permute_to_spatial", "permute_from_spatial"}) {
+    op_sum += registry.GetHistogram(std::string("graph.op_seconds.") + row)
+                  ->sum();
+  }
+  const Histogram* chunk = registry.GetHistogram("detector.window_score_seconds");
+  ASSERT_EQ(chunk->count(), chunks);
+  EXPECT_NEAR(op_sum, chunk->sum(), 0.05 * chunk->sum())
+      << "op rows " << op_sum << " s vs chunks " << chunk->sum() << " s";
+
+  registry.Reset();
+  SetMetricsEnabled(false);
+  detector.ScoreWindowBatch(plan.windows, seeds, 0);
+  SetMetricsEnabled(true);
+  for (const std::string& row : rows) {
+    EXPECT_EQ(registry.GetHistogram("graph.op_seconds." + row)->count(), 0)
+        << row;
+  }
+}
+
 }  // namespace
 }  // namespace imdiff

@@ -11,11 +11,13 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/gemm.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "utils/rng.h"
@@ -433,6 +435,101 @@ TEST_F(SimdParityTest, GateRowsArePositionIndependent) {
     }
   }
 }
+
+#if defined(IMDIFF_SIMD_ANY)
+
+// ---- GEMM epilogue and masked partial-panel stores --------------------------
+//
+// GemmRowsPrepacked with any epilogue must store exactly the bits of a plain
+// GEMM followed by the row passes the epilogue replaces: AddInto(bias), the
+// ReLU loop `v > 0 ? v : 0`, then AddInPlace(residual). It runs in both kernel
+// modes: the reference passes take their vector or scalar bodies, and the
+// fused result must match both. The sweep covers every n from 1 to
+// 2*kNRVec + 3 (full panels, one-register tails and two-register tails), row
+// counts 1..7 (every MR remainder) at nonzero row_begin, and reduction dims
+// around the model's widths. Rows before row_begin, a guard row after the
+// covered range and a guard tail past the buffer must keep their bits: a
+// masked store may not write past its row's n columns. Inside the covered
+// range such a spill would land in the next row's first columns, which the
+// accumulate cases then read back as their c_old.
+TEST_F(SimdParityTest, GemmEpilogueMatchesSeparatePasses) {
+  const float kGuard = -1234.5f;
+  const int64_t max_n = 2 * gemm::kNRVec + 3;
+  uint64_t seed = 7000;
+  for (const bool force_scalar : {false, true}) {
+    simd::SetForceScalar(force_scalar);
+    for (const int64_t k : {1, 3, 24, 48, 100}) {
+      for (int64_t n = 1; n <= max_n; ++n) {
+        const Tensor b = RandomTensor({k, n}, seed++);
+        std::vector<float> packed(gemm::PackedBFloats(k, n));
+        gemm::PackBFull(b.data(), k, n, false, packed.data());
+        const Tensor bias = RandomTensor({n}, seed++);
+        for (const int64_t row_begin : {0, 3}) {
+          for (int64_t rows = 1; rows <= 7; ++rows) {
+            const int64_t row_end = row_begin + rows;
+            const int64_t m = row_end + 1;  // one guard row after the range
+            Tensor a = RandomTensor({m, k}, seed++);
+            // Row row_begin holds the smallest denormal, so its products
+            // with |b| < 0.5 round to +-0 and some sums end as -0 (ReLU must
+            // map -0 to +0); row_begin + 1 carries a NaN (ReLU maps it to +0).
+            float* pa = a.mutable_data();
+            std::fill_n(pa + row_begin * k, k,
+                        std::numeric_limits<float>::denorm_min());
+            if (rows > 1) pa[(row_begin + 1) * k] = std::nanf("");
+            const Tensor residual = RandomTensor({m, n}, seed++);
+            const size_t total = static_cast<size_t>(m * n + 2 * gemm::kNRVec);
+            for (int combo = 0; combo < 8; ++combo) {
+              gemm::Epilogue ep;
+              ep.bias = (combo & 1) ? bias.data() : nullptr;
+              ep.relu = (combo & 2) != 0;
+              ep.accumulate = (combo & 4) != 0;
+              // Reference: plain GEMM, then the separate row passes.
+              std::vector<float> plain(static_cast<size_t>(m * n));
+              gemm::GemmRowsPrepacked(a.data(), packed.data(), plain.data(), m,
+                                      k, n, row_begin, row_end);
+              std::vector<float> want(total, kGuard);
+              for (int64_t r = row_begin; r < row_end; ++r) {
+                float* row = plain.data() + r * n;
+                if (ep.bias != nullptr) simd::AddInto(row, row, ep.bias, n);
+                if (ep.relu) {
+                  for (int64_t j = 0; j < n; ++j) {
+                    row[j] = row[j] > 0.0f ? row[j] : 0.0f;
+                  }
+                }
+                float* dst = want.data() + r * n;
+                if (ep.accumulate) {
+                  std::copy_n(residual.data() + r * n, n, dst);
+                  simd::AddInPlace(dst, row, n);
+                } else {
+                  std::copy_n(row, n, dst);
+                }
+              }
+              // Fused: c arrives holding the residual rows when accumulating
+              // and guard values everywhere else.
+              std::vector<float> got(total, kGuard);
+              if (ep.accumulate) {
+                std::copy_n(residual.data() + row_begin * n, rows * n,
+                            got.data() + row_begin * n);
+              }
+              gemm::GemmRowsPrepacked(a.data(), packed.data(), got.data(), m,
+                                      k, n, row_begin, row_end, ep);
+              for (size_t e = 0; e < total; ++e) {
+                ASSERT_EQ(Bits(got[e]), Bits(want[e]))
+                    << "scalar " << force_scalar << " k " << k << " n " << n
+                    << " rows [" << row_begin << ", " << row_end
+                    << ") bias " << (ep.bias != nullptr) << " relu "
+                    << ep.relu << " accumulate " << ep.accumulate
+                    << " at flat " << e;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+#endif  // IMDIFF_SIMD_ANY
 
 }  // namespace
 }  // namespace imdiff

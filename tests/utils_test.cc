@@ -34,6 +34,19 @@ TEST(FlagsTest, ParsesWholeNumbersThatFit) {
   EXPECT_EQ(FlagValue<double>("--deadline-ms", "1e3"), 1000.0);
 }
 
+// A flag forwarded to a child process must arrive as the same number:
+// std::to_string(1e-7) is "0.000000", FormatFlag(1e-7) parses back exactly.
+TEST(FlagsTest, FormatFlagRoundTripsThroughFlagValue) {
+  for (const double x : {1e-7, 0.25, 1.0 / 3.0, 1e300}) {
+    EXPECT_EQ(FlagValue<double>("--x", FormatFlag(x).c_str()), x)
+        << FormatFlag(x);
+  }
+  EXPECT_EQ(FlagValue<int64_t>("--block", FormatFlag(int64_t{-12}).c_str()),
+            -12);
+  EXPECT_EQ(FlagValue<uint64_t>("--seed", FormatFlag(UINT64_MAX).c_str()),
+            UINT64_MAX);
+}
+
 TEST(FlagsDeathTest, RejectsWhatAtoiWouldCoerceNamingTheFlag) {
   EXPECT_DEATH(FlagValue<int64_t>("--block", "12x"), "--block wants .*'12x'");
   EXPECT_DEATH(FlagValue<int64_t>("--queue", ""), "--queue wants .*''");

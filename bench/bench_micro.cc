@@ -29,7 +29,6 @@
 #include "nn/attention.h"
 #include "tensor/arena.h"
 #include "tensor/gemm.h"
-#include "tensor/quant.h"
 #include "tensor/simd.h"
 #include "tensor/tensor_ops.h"
 #include "utils/metrics.h"
@@ -417,12 +416,10 @@ int RunKernelBench(const std::string& path) {
     }
   }
 
-  // Reduced-precision weight GEMMs (DESIGN.md §17) at the same transformer
-  // projection shape, weights prepacked per precision exactly as a graph
-  // capture does. The per-row activation quantization runs inside the timed
-  // region (it runs per call in production too). The fp32 row uses the
-  // identical prepacked-panel call (gemm::GemmRowsPrepacked), so the
-  // bf16/int8 ratios isolate the arithmetic, not the packing strategy.
+  // The prepacked-panel GEMM (gemm::GemmRowsPrepacked) with weights packed
+  // once, exactly as a graph capture does, at the same transformer
+  // projection shape.
+#if defined(IMDIFF_SIMD_ANY)
   {
     Rng rng(11);
     Tensor a = Tensor::Randn({kTfM, kTfK}, rng);
@@ -433,7 +430,6 @@ int RunKernelBench(const std::string& path) {
     std::snprintf(suffix, sizeof(suffix), "%ldx%ldx%ld",
                   static_cast<long>(kTfM), static_cast<long>(kTfK),
                   static_cast<long>(kTfN));
-#if defined(IMDIFF_SIMD_ANY)
     {
       std::vector<float> packed(gemm::PackedBFloats(kTfK, kTfN));
       gemm::PackBFull(b.data(), kTfK, kTfN, false, packed.data());
@@ -478,41 +474,8 @@ int RunKernelBench(const std::string& path) {
       }));
       rows.back().variant = "simd_bias_residual";
     }
-#endif
-    quant::PackedBf16 pb;
-    quant::PackBf16(b.data(), kTfK, kTfN, false, &pb);
-    for (int v : {kScalar, kSimd}) {
-      rows.push_back(MeasureKernel(std::string("gemm_bf16_prepacked_") + suffix,
-                                   v, flops, 0.0, [&] {
-        quant::GemmRowsBf16(a.data(), pb, c.mutable_data(), kTfK, kTfN, 0,
-                            kTfM);
-        benchmark::DoNotOptimize(c.mutable_data());
-      }));
-    }
-    quant::PackedInt8 pi;
-    quant::PackInt8(b.data(), kTfK, kTfN, false, &pi);
-    for (int v : {kScalar, kSimd}) {
-      rows.push_back(MeasureKernel(std::string("gemm_int8_prepacked_") + suffix,
-                                   v, flops, 0.0, [&] {
-        quant::GemmRowsInt8(a.data(), pi, c.mutable_data(), kTfK, kTfN, 0,
-                            kTfM);
-        benchmark::DoNotOptimize(c.mutable_data());
-      }));
-    }
-    // Pack overhead: paid once per weight per graph capture (never per
-    // call), reported as bandwidth over the fp32 weight bytes read.
-    const double pack_bytes = static_cast<double>(kTfK) * kTfN * 4.0;
-    rows.push_back(MeasureKernel("pack_bf16_64x64", kSimd, 0.0, pack_bytes,
-                                 [&] {
-      quant::PackBf16(b.data(), kTfK, kTfN, false, &pb);
-      benchmark::DoNotOptimize(pb.data.data());
-    }));
-    rows.push_back(MeasureKernel("pack_int8_64x64", kSimd, 0.0, pack_bytes,
-                                 [&] {
-      quant::PackInt8(b.data(), kTfK, kTfN, false, &pi);
-      benchmark::DoNotOptimize(pi.data.data());
-    }));
   }
+#endif
 
   {
     Rng rng(3);
@@ -660,7 +623,6 @@ int RunKernelBench(const std::string& path) {
   }
 
   double scalar_s = 0.0, simd_s = 0.0;
-  double fp32_pre_s = 0.0, bf16_s = 0.0, int8_s = 0.0;
   double rd_allocs_off = 0.0, rd_allocs_on = 0.0;
   double bs_stack_s = 0.0, bs_graph_s = 0.0, bs_graph_arena = 0.0;
   for (const KernelRow& r : rows) {
@@ -668,16 +630,6 @@ int RunKernelBench(const std::string& path) {
       scalar_s = r.seconds_per_op;
     if (r.kernel.rfind("matmul_", 0) == 0 && r.variant == "simd")
       simd_s = r.seconds_per_op;
-    if (r.variant == "simd") {
-      // The reduced-precision ratios compare at the transformer shape only.
-      if (r.kernel == "gemm_fp32_prepacked_" + std::to_string(kTfM) + "x" +
-                         std::to_string(kTfK) + "x" + std::to_string(kTfN))
-        fp32_pre_s = r.seconds_per_op;
-      if (r.kernel.rfind("gemm_bf16_prepacked_", 0) == 0)
-        bf16_s = r.seconds_per_op;
-      if (r.kernel.rfind("gemm_int8_prepacked_", 0) == 0)
-        int8_s = r.seconds_per_op;
-    }
     if (r.kernel.rfind("reverse_diffusion", 0) == 0) {
       if (r.variant == "simd_arena_off") rd_allocs_off = r.allocs_per_op;
       if (r.variant == "simd") rd_allocs_on = r.allocs_per_op;
@@ -705,15 +657,11 @@ int RunKernelBench(const std::string& path) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "    \"matmul_simd_speedup\": %.2f,\n"
-                "    \"matmul_bf16_speedup\": %.2f,\n"
-                "    \"matmul_int8_speedup\": %.2f,\n"
                 "    \"reverse_diffusion_allocs_arena_off\": %.0f,\n"
                 "    \"reverse_diffusion_allocs_arena_on\": %.0f,\n"
                 "    \"block_score_graph_speedup\": %.2f,\n"
                 "    \"block_score_graph_arena_ops\": %.0f\n",
-                simd_s > 0.0 ? scalar_s / simd_s : 0.0,
-                bf16_s > 0.0 ? fp32_pre_s / bf16_s : 0.0,
-                int8_s > 0.0 ? fp32_pre_s / int8_s : 0.0, rd_allocs_off,
+                simd_s > 0.0 ? scalar_s / simd_s : 0.0, rd_allocs_off,
                 rd_allocs_on, bs_graph_s > 0.0 ? bs_stack_s / bs_graph_s : 0.0,
                 bs_graph_arena);
   out += buf;

@@ -13,7 +13,7 @@
 // Usage: imdiff_worker --socket PATH [--shard-id N] [--block B] [--context C]
 //   [--flush-ms F] [--batch-windows W] [--queue Q] [--workers N]
 //   [--max-resident S] [--max-stashed S] [--seed S] [--epochs E]
-//   [--deadline-ms D] [--force-degrade L] [--precision {fp32,bf16,int8}]
+//   [--deadline-ms D] [--force-degrade L]
 //   [--refresh-every N] [--refresh-recent N] [--shadow-fraction F]
 //   [--verdict-pairs P] [--refresh-psi X] [--refresh-ks X]
 //   [--refresh-mean-ratio X] [--refresh-epochs N]
@@ -87,12 +87,6 @@ int Main(int argc, char** argv) {
           FlagValue<double>(flag, next()) / 1000.0;
     } else if (std::strcmp(argv[i], "--force-degrade") == 0) {
       options.serve.force_degrade_level = FlagValue<int>(flag, next());
-    } else if (std::strcmp(argv[i], "--precision") == 0) {
-      Precision p;
-      const char* name = next();
-      IMDIFF_CHECK(ParsePrecision(name, &p))
-          << "--precision must be fp32, bf16, or int8, got" << name;
-      options.serve.force_precision = static_cast<int>(p);
     } else if (std::strcmp(argv[i], "--refresh-every") == 0) {
       options.serve.refresh.refresh_every =
           FlagValue<int64_t>(flag, next());

@@ -782,9 +782,7 @@ std::vector<ImDiffusionDetector::WindowScore> ImDiffusionDetector::ScoreChunks(
 std::vector<ImDiffusionDetector::WindowScore>
 ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
                                       const std::vector<uint64_t>& seeds,
-                                      int degrade_level,
-                                      Precision precision) const {
-  const Precision prec = ResolvePrecision(precision);
+                                      int degrade_level) const {
   const int64_t k = config_.model.num_features;
   const int64_t per_window = k * config_.model.window;
   const std::vector<int> vote_ts = VoteSteps();
@@ -821,7 +819,7 @@ ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
   return ScoreChunks(windows, seeds, [&](int64_t chunk, int64_t bsz,
                                          ErrorRows* rows) {
     std::unique_ptr<graph::GraphContext> ctx =
-        gcache->Acquire(bsz, degrade_level, prec, [&]() {
+        gcache->Acquire(bsz, degrade_level, [&]() {
           const std::pair<Tensor, Tensor>& mp = masks();
           graph::DenoiserSpec spec;
           spec.model = model_.get();
@@ -835,20 +833,18 @@ ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
           spec.conditional = config_.conditional;
           spec.stochastic_sampling = config_.stochastic_sampling;
           spec.score_on_x0 = config_.score_on_x0;
-          spec.precision = prec;
           return std::make_unique<graph::GraphContext>(spec);
         });
     ctx->ScoreChunk(windows.data() + chunk * per_window, seeds.data() + chunk);
     ErrorRowsFromDiff(ctx->step_diff(), bsz, chunk, rows);
-    gcache->Release(bsz, degrade_level, prec, std::move(ctx));
+    gcache->Release(bsz, degrade_level, std::move(ctx));
   });
 }
 
 std::vector<ImDiffusionDetector::WindowScore>
 ImDiffusionDetector::ScoreWindowBatchOnStack(
     const Tensor& windows, const std::vector<uint64_t>& seeds,
-    int degrade_level, Precision precision) const {
-  const Precision prec = ResolvePrecision(precision);
+    int degrade_level) const {
   const int64_t k = config_.model.num_features;
   const int64_t window = config_.model.window;
   const int64_t per_window = k * window;
@@ -861,9 +857,6 @@ ImDiffusionDetector::ScoreWindowBatchOnStack(
 
   return ScoreChunks(windows, seeds, [&](int64_t chunk, int64_t bsz,
                                          ErrorRows* rows) {
-    // Routes every nn::Linear inside RunChain through the quantized kernels
-    // for non-fp32 precisions — the same kernels a graph capture lowers onto.
-    ScopedPrecision precision_guard(prec);
     Tensor x0 = Tensor::Uninitialized({bsz, k, window});
     std::copy_n(windows.data() + chunk * per_window, bsz * per_window,
                 x0.mutable_data());
@@ -942,8 +935,8 @@ DetectionResult ImDiffusionDetector::ReduceWindowScores(
 }
 
 DetectionResult ImDiffusionDetector::RunSeeded(const Tensor& test,
-                                               uint64_t seed, int degrade_level,
-                                               Precision precision) const {
+                                               uint64_t seed,
+                                               int degrade_level) const {
   WindowPlan plan = PlanWindows(test);
   const int64_t n = plan.windows.dim(0);
   std::vector<uint64_t> seeds(static_cast<size_t>(n));
@@ -951,7 +944,7 @@ DetectionResult ImDiffusionDetector::RunSeeded(const Tensor& test,
     seeds[static_cast<size_t>(i)] = MixSeed(seed, static_cast<uint64_t>(i));
   }
   return ReduceWindowScores(
-      ScoreWindowBatch(plan.windows, seeds, degrade_level, precision),
+      ScoreWindowBatch(plan.windows, seeds, degrade_level),
       plan.starts, plan.length);
 }
 

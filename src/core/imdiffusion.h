@@ -23,7 +23,6 @@
 #include "core/masking.h"
 #include "diffusion/ddpm.h"
 #include "graph/graph.h"
-#include "tensor/precision.h"
 #include "utils/rng.h"
 
 namespace imdiff {
@@ -169,24 +168,18 @@ class ImDiffusionDetector : public AnomalyDetector {
   // treating the pure-noise start as an over-noised x_t. Every vote step is
   // always executed, so WindowScores from any level have identical shapes.
   //
-  // `precision` runs every denoiser weight GEMM at a reduced precision
-  // (DESIGN.md §17) — the other axis of the serving degradation ladder. The
-  // request is filtered through ResolvePrecision(), so IMDIFF_PRECISION /
-  // SetForcePrecision win over the argument. Scores remain a pure function
-  // of (content, seed, degrade_level, precision).
-  //
   // Every chunk runs on the captured graph executor (src/graph), the only
   // inference path.
   std::vector<WindowScore> ScoreWindowBatch(
       const Tensor& windows, const std::vector<uint64_t>& seeds,
-      int degrade_level = 0, Precision precision = Precision::kF32) const;
+      int degrade_level = 0) const;
 
   // The same scores computed by the autograd layer stack (RunChain), the
   // reference the graph executor must match bit for bit (tests/graph_test.cc)
   // and the baseline bench_micro times it against. Serving never calls it.
   std::vector<WindowScore> ScoreWindowBatchOnStack(
       const Tensor& windows, const std::vector<uint64_t>& seeds,
-      int degrade_level = 0, Precision precision = Precision::kF32) const;
+      int degrade_level = 0) const;
 
   // First forward-index step t of the (possibly truncated) reverse chain for
   // a degradation level: level 0 = the full chain (T-1); level 1 = halfway
@@ -203,11 +196,10 @@ class ImDiffusionDetector : public AnomalyDetector {
 
   // Full seeded pass over one series: PlanWindows + ScoreWindowBatch (window
   // i seeded with MixSeed(seed, i)) + ReduceWindowScores. A pure function of
-  // (test, seed, degrade_level, precision, config); unlike Run() it does not
+  // (test, seed, degrade_level, config); unlike Run() it does not
   // touch the fit-time RNG.
   DetectionResult RunSeeded(const Tensor& test, uint64_t seed,
-                            int degrade_level = 0,
-                            Precision precision = Precision::kF32) const;
+                            int degrade_level = 0) const;
 
   // Imputes the genuinely missing entries of one [K, W] window with the
   // seeded reverse chain: `observed_mask` ([K, W], 1 = observed, e.g. from

@@ -11,7 +11,6 @@
 #include "tensor/arena.h"
 #include "utils/check.h"
 #include "tensor/gemm.h"
-#include "tensor/quant.h"
 #include "tensor/simd.h"
 #include "utils/metrics.h"
 #include "utils/rng.h"
@@ -26,9 +25,6 @@ namespace {
 // the model's tensors plus (when a vector ISA is compiled in) the weight
 // prepacked into GEMM panels at capture time. Packing is pure data movement,
 // so the prepacked path is bitwise identical to MatMul's per-call packing.
-// Non-fp32 captures instead prepack into the quant panel formats (every
-// build — the quant kernels carry scalar bodies), which matches the
-// per-call pack of quant::LinearInto bit for bit.
 struct Weight {
   const float* w = nullptr;     // [in, out]
   const float* bias = nullptr;  // [out], null when the layer has no bias
@@ -37,8 +33,6 @@ struct Weight {
 #if defined(IMDIFF_SIMD_ANY)
   std::vector<float> packed;
 #endif
-  quant::PackedBf16 packed_bf16;  // filled when precision == kBf16
-  quant::PackedInt8 packed_int8;  // filled when precision == kInt8
 };
 
 struct Norm {
@@ -220,7 +214,6 @@ struct GraphContext::Impl {
   bool conditional = false;
   bool stoch = false;
   bool score_x0 = true;
-  Precision precision = Precision::kF32;
 
   // ---- Shape constants --------------------------------------------------
   int64_t B = 0, K = 0, L = 0, KL = 0, R = 0;
@@ -269,30 +262,12 @@ struct GraphContext::Impl {
     w.bias = lin.has_bias() ? lin.bias().data() : nullptr;
     w.in = lin.in_features();
     w.out = lin.out_features();
-    PackWeight(&w);
+#if defined(IMDIFF_SIMD_ANY)
+    w.packed.resize(gemm::PackedBFloats(w.in, w.out));
+    gemm::PackBFull(w.w, w.in, w.out, false, w.packed.data());
+#endif
     weights.push_back(std::move(w));
     return static_cast<int>(weights.size()) - 1;
-  }
-
-  // Capture-time prepack for the active precision. For fused weights built
-  // from concatenated columns (LN+QKV) the per-column int8 absmax scales are
-  // identical to the scales of the separate packs, so fusion does not change
-  // the quantization.
-  void PackWeight(Weight* w) {
-    switch (precision) {
-      case Precision::kBf16:
-        quant::PackBf16(w->w, w->in, w->out, false, &w->packed_bf16);
-        break;
-      case Precision::kInt8:
-        quant::PackInt8(w->w, w->in, w->out, false, &w->packed_int8);
-        break;
-      case Precision::kF32:
-#if defined(IMDIFF_SIMD_ANY)
-        w->packed.resize(gemm::PackedBFloats(w->in, w->out));
-        gemm::PackBFull(w->w, w->in, w->out, false, w->packed.data());
-#endif
-        break;
-    }
   }
 
   int AddNorm(const nn::LayerNorm& n) {
@@ -426,7 +401,6 @@ struct GraphContext::Impl {
     conditional = spec.conditional;
     stoch = spec.stochastic_sampling;
     score_x0 = spec.score_on_x0;
-    precision = spec.precision;
 
     const ImTransformerConfig& mc = model->config();
     B = spec.bsz;
@@ -778,16 +752,16 @@ struct GraphContext::Impl {
   // Rows [rb, re) of v = a @ W + b, then v = max(v, 0) when `relu`, stored
   // as c = v — or, when `residual` is set, accumulated as c = c + v (the
   // encoder's residual add). This is the single GEMM body every lowered
-  // Linear shares. The fp32 SIMD GEMM applies that epilogue in registers
-  // (gemm::Epilogue). The bf16, int8 and scalar GEMMs have none, so they
-  // store the product (into `residual` when accumulating, else into c) and
-  // run the same IEEE operations as separate row passes; both routes give
-  // the same bits. Row-local like the underlying kernels, so it is safe
-  // inside any row partition.
+  // Linear shares. The SIMD GEMM applies that epilogue in registers
+  // (gemm::Epilogue). The scalar GEMM has none, so it stores the product
+  // (into `residual` when accumulating, else into c) and runs the same IEEE
+  // operations as separate row passes; both routes give the same bits.
+  // Row-local like the underlying kernels, so it is safe inside any row
+  // partition.
   void GemmRows(const Weight& w, const float* a, float* c, int64_t rows,
                 int64_t rb, int64_t re, bool relu, float* residual) {
 #if defined(IMDIFF_SIMD_ANY)
-    if (precision == Precision::kF32 && simd::Enabled()) {
+    if (simd::Enabled()) {
       gemm::Epilogue ep;
       ep.bias = w.bias;
       ep.relu = relu;
@@ -798,16 +772,10 @@ struct GraphContext::Impl {
     }
 #endif
     float* out = residual != nullptr ? residual : c;
-    if (precision == Precision::kBf16) {
-      quant::GemmRowsBf16(a, w.packed_bf16, out, w.in, w.out, rb, re);
-    } else if (precision == Precision::kInt8) {
-      quant::GemmRowsInt8(a, w.packed_int8, out, w.in, w.out, rb, re);
-    } else {
-      std::memset(out + rb * w.out, 0,
-                  static_cast<size_t>((re - rb) * w.out) * sizeof(float));
-      gemm::MatMulRowsScalar(a, w.w, out, rows, w.in, w.out, false, false, rb,
-                             re);
-    }
+    std::memset(out + rb * w.out, 0,
+                static_cast<size_t>((re - rb) * w.out) * sizeof(float));
+    gemm::MatMulRowsScalar(a, w.w, out, rows, w.in, w.out, false, false, rb,
+                           re);
     for (int64_t r = rb; r < re; ++r) {
       float* row = out + r * w.out;
       if (w.bias != nullptr) simd::AddInto(row, row, w.bias, w.out);
@@ -1313,11 +1281,10 @@ size_t GraphContext::plan_bytes() const { return impl_->plan_bytes(); }
 
 std::unique_ptr<GraphContext> GraphCache::Acquire(int64_t bsz,
                                                   int degrade_level,
-                                                  Precision precision,
                                                   const Factory& make) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = pool_.find({bsz, degrade_level, static_cast<int>(precision)});
+    auto it = pool_.find({bsz, degrade_level});
     if (it != pool_.end() && !it->second.empty()) {
       std::unique_ptr<GraphContext> ctx = std::move(it->second.back());
       it->second.pop_back();
@@ -1327,12 +1294,11 @@ std::unique_ptr<GraphContext> GraphCache::Acquire(int64_t bsz,
   return make();
 }
 
-void GraphCache::Release(int64_t bsz, int degrade_level, Precision precision,
+void GraphCache::Release(int64_t bsz, int degrade_level,
                          std::unique_ptr<GraphContext> ctx) {
   if (ctx == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
-  pool_[{bsz, degrade_level, static_cast<int>(precision)}].push_back(
-      std::move(ctx));
+  pool_[{bsz, degrade_level}].push_back(std::move(ctx));
 }
 
 }  // namespace graph

@@ -43,13 +43,11 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "core/im_transformer.h"
 #include "diffusion/schedule.h"
-#include "tensor/precision.h"
 #include "tensor/tensor.h"
 
 namespace imdiff {
@@ -68,10 +66,6 @@ struct DenoiserSpec {
   bool conditional = false;
   bool stochastic_sampling = false;
   bool score_on_x0 = true;
-  // Scoring precision (DESIGN.md §17). Non-fp32 captures prepack weights
-  // into the quant panel formats and lower every Linear onto the quantized
-  // kernels; attention QK^T / attn x V and all norms stay fp32.
-  Precision precision = Precision::kF32;
 };
 
 // One captured, lowered, and arena-planned reverse-diffusion chunk executor.
@@ -105,7 +99,7 @@ class GraphContext {
 };
 
 // Pool of captured contexts for one detector, keyed by (chunk batch size,
-// degrade level, precision). Thread-safe. Invalidation = dropping the whole
+// degrade level). Thread-safe. Invalidation = dropping the whole
 // cache (the detector swaps in a fresh GraphCache when its model changes).
 class GraphCache {
  public:
@@ -113,16 +107,14 @@ class GraphCache {
 
   // Returns an idle context for the key, or captures a new one via `make`.
   std::unique_ptr<GraphContext> Acquire(int64_t bsz, int degrade_level,
-                                        Precision precision,
                                         const Factory& make);
   // Returns a context to the pool.
-  void Release(int64_t bsz, int degrade_level, Precision precision,
+  void Release(int64_t bsz, int degrade_level,
                std::unique_ptr<GraphContext> ctx);
 
  private:
   std::mutex mu_;
-  std::map<std::tuple<int64_t, int, int>,
-           std::vector<std::unique_ptr<GraphContext>>>
+  std::map<std::pair<int64_t, int>, std::vector<std::unique_ptr<GraphContext>>>
       pool_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 
 #include "utils/check.h"
 
@@ -45,22 +46,22 @@ void QuantileSketch::Add(double value) {
 void QuantileSketch::Compress() {
   if (entries_.size() < 3) return;
   const int64_t band = static_cast<int64_t>(2.0 * epsilon_ * count_);
-  // Merge neighbors back-to-front; the last entry is never absorbed so max()
-  // queries stay exact.
-  std::vector<Entry> out;
-  out.reserve(entries_.size());
-  out.push_back(entries_.back());
+  // Merge neighbors back-to-front, in place: the kept entries collect at
+  // [kept, size) in order, and kept > idx throughout, so a write never
+  // lands on an entry still to be read. The last entry is never absorbed so
+  // max() queries stay exact.
+  size_t kept = entries_.size() - 1;
   for (size_t idx = entries_.size() - 1; idx-- > 0;) {
-    Entry& prev = out.back();
-    const Entry& cur = entries_[idx];
-    if (idx > 0 && cur.g + prev.g + prev.delta <= band) {
-      prev.g += cur.g;  // absorb cur into its successor
+    Entry& next = entries_[kept];
+    const Entry cur = entries_[idx];
+    if (idx > 0 && cur.g + next.g + next.delta <= band) {
+      next.g += cur.g;  // absorb cur into its successor
     } else {
-      out.push_back(cur);
+      entries_[--kept] = cur;
     }
   }
-  std::reverse(out.begin(), out.end());
-  entries_ = std::move(out);
+  entries_.erase(entries_.begin(),
+                 entries_.begin() + static_cast<std::ptrdiff_t>(kept));
 }
 
 double QuantileSketch::Quantile(double q) const {

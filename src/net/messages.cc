@@ -98,7 +98,6 @@ Frame Encode(const ScoredBlockMsg& m) {
   w.I64(m.block_index);
   w.I64(m.start);
   w.I64(m.degrade_level);
-  w.I64(m.precision);
   w.F64(m.latency_seconds);
   w.FloatVec(m.scores);
   return MakeFrame(MsgType::kScoredBlock, std::move(w));
@@ -110,7 +109,6 @@ bool Decode(const Frame& f, ScoredBlockMsg* m) {
   r.I64(&m->block_index);
   r.I64(&m->start);
   r.I64(&m->degrade_level);
-  r.I64(&m->precision);
   r.F64(&m->latency_seconds);
   r.FloatVec(&m->scores);
   return Finish(f, MsgType::kScoredBlock, r);
@@ -135,7 +133,6 @@ Frame Encode(const DrainResultMsg& m) {
   w.I64(m.shed);
   w.I64(m.alerts);
   w.I64(m.degraded_blocks);
-  w.I64(m.precision_drops);
   w.I64(m.promotions);
   w.I64(m.shadow_blocks);
   return MakeFrame(MsgType::kDrainResult, std::move(w));
@@ -148,7 +145,6 @@ bool Decode(const Frame& f, DrainResultMsg* m) {
   r.I64(&m->shed);
   r.I64(&m->alerts);
   r.I64(&m->degraded_blocks);
-  r.I64(&m->precision_drops);
   r.I64(&m->promotions);
   r.I64(&m->shadow_blocks);
   return Finish(f, MsgType::kDrainResult, r);

@@ -69,7 +69,6 @@ struct ScoredBlockMsg {
   int64_t block_index = 0;
   int64_t start = 0;  // global stream position of the first score
   int64_t degrade_level = 0;
-  int64_t precision = 0;  // Precision the block was scored at (0 = fp32)
   double latency_seconds = 0.0;
   std::vector<float> scores;
 };
@@ -86,7 +85,6 @@ struct DrainResultMsg {
   int64_t shed = 0;
   int64_t alerts = 0;
   int64_t degraded_blocks = 0;
-  int64_t precision_drops = 0;  // blocks scored below fp32
   // Continuous-refresh activity (DESIGN.md §18): refresh promotions applied
   // and shadow blocks dual-scored on this worker. Shadow blocks themselves
   // never cross the wire — only these counts do.

@@ -2,9 +2,6 @@
 
 #include <cmath>
 
-#include "tensor/precision.h"
-#include "tensor/quant.h"
-
 namespace imdiff {
 namespace nn {
 
@@ -37,19 +34,6 @@ Var Linear::Forward(const Var& x) const {
   IMDIFF_CHECK_EQ(x.dim(x.ndim() - 1), in_);
   Shape out_shape = x.shape();
   out_shape.back() = out_;
-  const Precision prec = ActivePrecision();
-  if (prec != Precision::kF32) {
-    // Reduced-precision forward (DESIGN.md §17): the same quantized kernels
-    // the graph executor captures, so graph and stack scores stay bitwise
-    // identical per precision. Inference-only — the result is a constant,
-    // never an autograd node; training never sets a non-fp32 ActivePrecision.
-    const Tensor& xv = x.value();
-    Tensor y = Tensor::Uninitialized(out_shape);
-    quant::LinearInto(xv.data(), w_.value().data(),
-                      b_.defined() ? b_.value().data() : nullptr,
-                      y.mutable_data(), xv.numel() / in_, in_, out_, prec);
-    return Var(std::move(y));
-  }
   Var x2 = ReshapeV(x, {-1, in_});
   Var y = MatMulV(x2, w_);
   if (b_.defined()) y = Add(y, b_);

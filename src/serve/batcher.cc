@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <map>
-#include <tuple>
 #include <utility>
 
 #include "utils/check.h"
@@ -15,11 +14,11 @@ namespace serve {
 DetectionResult ScoreBlock(const ImDiffusionDetector& detector,
                            uint64_t session_seed,
                            const OnlineDetector::ReadyBlock& ready,
-                           int degrade_level, Precision precision) {
+                           int degrade_level) {
   const BlockPlan plan = PlanBlock(detector, session_seed, ready);
   return detector.ReduceWindowScores(
       detector.ScoreWindowBatch(plan.windows.windows, plan.seeds,
-                                degrade_level, precision),
+                                degrade_level),
       plan.windows.starts, plan.windows.length);
 }
 
@@ -29,23 +28,19 @@ std::vector<DetectionResult> ScoreBlocks(std::vector<BlockRequest>* requests) {
   if (requests->empty()) return results;
   IMDIFF_TRACE_SCOPE("serve.batch_score_seconds");
 
-  // Group by (captured model version, degrade level, precision): a hot swap
-  // between Submit and flush must not retarget an in-flight block, and one
-  // batched reverse chain runs at one truncation depth and one precision.
-  std::map<std::tuple<const ModelEntry*, int, int>, std::vector<size_t>>
-      groups;
+  // Group by (captured model version, degrade level): a hot swap between
+  // Submit and flush must not retarget an in-flight block, and one batched
+  // reverse chain runs at one truncation depth.
+  std::map<std::pair<const ModelEntry*, int>, std::vector<size_t>> groups;
   for (size_t r = 0; r < requests->size(); ++r) {
     IMDIFF_CHECK((*requests)[r].model != nullptr);
-    groups[{(*requests)[r].model.get(), (*requests)[r].degrade_level,
-            static_cast<int>((*requests)[r].precision)}]
+    groups[{(*requests)[r].model.get(), (*requests)[r].degrade_level}]
         .push_back(r);
   }
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   for (const auto& [key, members] : groups) {
-    const ModelEntry* entry = std::get<0>(key);
-    const int degrade_level = std::get<1>(key);
-    const Precision precision = static_cast<Precision>(std::get<2>(key));
+    const auto [entry, degrade_level] = key;
     const ImDiffusionDetector& detector = *entry->detector;
     const int64_t k = detector.config().model.num_features;
     const int64_t window = detector.config().model.window;
@@ -74,7 +69,7 @@ std::vector<DetectionResult> ScoreBlocks(std::vector<BlockRequest>* requests) {
                     per_window, dst + static_cast<int64_t>(m) * per_window);
       }
       std::vector<ImDiffusionDetector::WindowScore> fresh =
-          detector.ScoreWindowBatch(batch, seeds, degrade_level, precision);
+          detector.ScoreWindowBatch(batch, seeds, degrade_level);
       for (size_t m = 0; m < origin.size(); ++m) {
         (*requests)[origin[m].first].scores[origin[m].second] =
             std::move(fresh[m]);

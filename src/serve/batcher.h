@@ -30,20 +30,18 @@ namespace serve {
 // Scores one ready block fresh (no cache, no cross-block batching): the
 // serial baseline the served path must match bitwise. Pure function of its
 // arguments, including `degrade_level` (truncated reverse chain; see
-// ImDiffusionDetector::ChainStartForDegradeLevel) and `precision` (reduced-
-// precision GEMMs; DESIGN.md §17).
+// ImDiffusionDetector::ChainStartForDegradeLevel).
 DetectionResult ScoreBlock(const ImDiffusionDetector& detector,
                            uint64_t session_seed,
                            const OnlineDetector::ReadyBlock& ready,
-                           int degrade_level = 0,
-                           Precision precision = Precision::kF32);
+                           int degrade_level = 0);
 
 // Scores a batch of ready blocks in one pass. The cache-missed windows of
 // all requests are concatenated into a single ScoreWindowBatch call against
 // each request's captured model (requests are grouped by (model version,
-// degrade level, precision), so a hot swap mid-batch still scores every
-// block against the version it captured, and degraded or reduced-precision
-// blocks never share a chain with full-quality ones); misses are filled into
+// degrade level), so a hot swap mid-batch still scores every block against
+// the version it captured, and degraded blocks never share a chain with
+// full-quality ones); misses are filled into
 // request->scores in place and each block is reduced to a DetectionResult.
 // results[i] corresponds to (*requests)[i].
 std::vector<DetectionResult> ScoreBlocks(std::vector<BlockRequest>* requests);

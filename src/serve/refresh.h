@@ -90,7 +90,7 @@ struct RefreshOptions {
   // rollback of an undertrained model.
   int64_t fit_stride = 1;
   // Fraction of full-quality ready blocks dual-scored while shadowing.
-  // Degraded / reduced-precision blocks are never selected: their live
+  // Degraded blocks are never selected: their live
   // scores would not be comparable to the shadow's full-quality ones.
   double shadow_fraction = 0.25;
   // Paired live/shadow blocks required before the verdict resolves.

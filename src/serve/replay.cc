@@ -26,7 +26,7 @@ std::vector<float> ReplaySerial(const ModelEntry& model,
                                 const OnlineDetector::Options& online_options,
                                 uint64_t seed_base,
                                 const TenantStream& stream,
-                                int degrade_level, Precision precision) {
+                                int degrade_level) {
   IMDIFF_CHECK(model.detector != nullptr && model.detector->fitted());
   OnlineDetector online(nullptr, online_options);
   online.SetNormalization(model.stats);
@@ -47,8 +47,8 @@ std::vector<float> ReplaySerial(const ModelEntry& model,
     }
     OnlineDetector::ReadyBlock ready;
     if (!online.AppendBuffered(sample, observed, &ready)) continue;
-    const DetectionResult result = ScoreBlock(*model.detector, session_seed,
-                                              ready, degrade_level, precision);
+    const DetectionResult result =
+        ScoreBlock(*model.detector, session_seed, ready, degrade_level);
     const OnlineDetector::Alert alert =
         OnlineDetector::MakeAlert(ready, result);
     for (size_t i = 0; i < alert.scores.size(); ++i) {
@@ -82,7 +82,6 @@ ReplayStats ReplayThroughServer(std::shared_ptr<const ModelEntry> model,
     std::lock_guard<std::mutex> lock(mu);
     ++stats.alerts;
     if (scored.degrade_level > 0) ++stats.degraded_alerts;
-    if (scored.precision != Precision::kF32) ++stats.precision_dropped_alerts;
     auto it = stats.scores.find(scored.tenant);
     IMDIFF_CHECK(it != stats.scores.end());
     std::vector<float>& out = it->second;
@@ -271,7 +270,6 @@ LoadStats ReplayLoad(std::shared_ptr<const ModelEntry> model,
     std::lock_guard<std::mutex> lock(mu);
     ++stats.alerts;
     if (scored.degrade_level > 0) ++stats.degraded_alerts;
-    if (scored.precision != Precision::kF32) ++stats.precision_dropped_alerts;
     latencies[scored.tenant].push_back(scored.latency_seconds);
     if (config.collect_scores) {
       auto it = stats.scores.find(scored.tenant);
@@ -507,7 +505,6 @@ ShardedLoadStats ReplayLoadSharded(ShardRouter& router,
     std::lock_guard<std::mutex> lock(mu);
     ++stats.alerts;
     if (block.degrade_level > 0) ++stats.degraded_alerts;
-    if (block.precision != 0) ++stats.precision_dropped_alerts;
     latencies[block.tenant].push_back(block.latency_seconds);
     auto it = assembly.find(block.tenant);
     if (it == assembly.end()) return;
@@ -616,7 +613,6 @@ ShardedLoadStats ReplayLoadSharded(ShardRouter& router,
   stats.accepted = totals.accepted;
   stats.shed = totals.shed;
   stats.degraded_blocks = totals.degraded_blocks;
-  stats.precision_drops = totals.precision_drops;
   stats.promotions = totals.promotions;
   stats.shadow_blocks = totals.shadow_blocks;
   // The final barrier flushed every worker and its reader delivered every

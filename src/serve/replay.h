@@ -37,14 +37,12 @@ struct TenantStream {
 // Scores one tenant serially: every ready block is scored fresh through
 // ScoreBlock. Returns the assembled per-position score stream (length L;
 // positions never emitted stay 0). Bitwise reference for the served path.
-// `degrade_level` / `precision` score every block at that ladder rung — the
-// reference for a run whose blocks were uniformly pinned (--force-degrade /
-// --precision).
+// `degrade_level` scores every block at that ladder rung — the reference for
+// a run whose blocks were uniformly pinned (--force-degrade).
 std::vector<float> ReplaySerial(const ModelEntry& model,
                                 const OnlineDetector::Options& online,
                                 uint64_t seed_base, const TenantStream& stream,
-                                int degrade_level = 0,
-                                Precision precision = Precision::kF32);
+                                int degrade_level = 0);
 
 struct ReplayStats {
   // Assembled per-tenant score streams (length L each).
@@ -53,7 +51,6 @@ struct ReplayStats {
   int64_t rejected = 0;  // backpressure rejections (samples were retried)
   int64_t alerts = 0;
   int64_t degraded_alerts = 0;  // alerts scored at degrade_level > 0
-  int64_t precision_dropped_alerts = 0;  // alerts scored below fp32
   double seconds = 0.0;            // submit of first sample → drain complete
   double points_per_second = 0.0;  // total samples / seconds
 };
@@ -141,7 +138,6 @@ struct LoadStats {
   int64_t rejected = 0;  // backpressure rejections (samples were retried)
   int64_t alerts = 0;
   int64_t degraded_alerts = 0;
-  int64_t precision_dropped_alerts = 0;  // alerts scored below fp32
   double seconds = 0.0;
   double points_per_second = 0.0;
   // Cross-tenant spread of per-tenant latency percentiles: each tenant's
@@ -222,7 +218,6 @@ struct ShardedLoadStats {
   int64_t submitted = 0;
   int64_t alerts = 0;          // scored blocks delivered (incl. duplicates)
   int64_t degraded_alerts = 0;
-  int64_t precision_dropped_alerts = 0;
   // Positional score assembly: every position written once; a re-delivered
   // block (shard-down recovery replay) must match the first delivery
   // bitwise. Conflicts are the hard failure --fail-on-shed trips on.
@@ -233,7 +228,6 @@ struct ShardedLoadStats {
   int64_t accepted = 0;
   int64_t shed = 0;
   int64_t degraded_blocks = 0;
-  int64_t precision_drops = 0;
   // Continuous-refresh activity summed over surviving workers (each shard
   // runs its own refresh loop on its own tenants).
   int64_t promotions = 0;

@@ -443,7 +443,6 @@ bool ShardRouter::DrainAll(DrainTotals* totals) {
         sums.shed += result.shed;
         sums.alerts += result.alerts;
         sums.degraded_blocks += result.degraded_blocks;
-        sums.precision_drops += result.precision_drops;
         sums.promotions += result.promotions;
         sums.shadow_blocks += result.shadow_blocks;
       }

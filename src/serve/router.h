@@ -106,7 +106,6 @@ class ShardRouter {
     int64_t shed = 0;
     int64_t alerts = 0;
     int64_t degraded_blocks = 0;
-    int64_t precision_drops = 0;
     // Continuous-refresh activity across live shards (DESIGN.md §18).
     int64_t promotions = 0;
     int64_t shadow_blocks = 0;

@@ -17,10 +17,7 @@ StreamServer::StreamServer(std::shared_ptr<const ModelEntry> model,
           "serve.batch_score_seconds")),
       degraded_blocks_(
           MetricsRegistry::Global().GetCounter("serve.degraded_blocks")),
-      precision_drops_(
-          MetricsRegistry::Global().GetCounter("serve.precision_drops")),
       deadline_fault_(FaultRegistry::Global().GetPoint("serve.deadline")),
-      precision_fault_(FaultRegistry::Global().GetPoint("serve.precision")),
       sessions_(std::move(model), options.session),
       batcher_(&sessions_, options.batch,
                [this](const BlockRequest& request,
@@ -29,7 +26,6 @@ StreamServer::StreamServer(std::shared_ptr<const ModelEntry> model,
                  scored.tenant = request.tenant;
                  scored.block_index = request.block_index;
                  scored.degrade_level = request.degrade_level;
-                 scored.precision = request.precision;
                  scored.shadow = request.shadow;
                  scored.alert = OnlineDetector::MakeAlert(request.ready, result);
                  // Ready-to-alert latency: queueing at the batcher plus the
@@ -134,18 +130,14 @@ void StreamServer::WorkerLoop(Shard* shard) {
     BlockRequest block;
     if (sessions_.Append(request.tenant, request.sample, request.observed,
                          &block)) {
-      const Rung rung = ChooseRung(wait_seconds, block);
-      block.degrade_level = rung.degrade_level;
-      block.precision = rung.precision;
+      block.degrade_level = ChooseRung(wait_seconds, block);
       if (block.degrade_level > 0) degraded_blocks_->Increment();
-      if (block.precision != Precision::kF32) precision_drops_->Increment();
       // Continuous refresh (DESIGN.md §18): while a shadow is staged, a
       // seeded fraction of full-quality blocks is dual-scored against it.
       // Degraded rungs are never selected — their live scores would not be
       // comparable to the shadow's full-quality ones.
       std::shared_ptr<const ModelEntry> shadow;
-      if (refresh_ && rung.degrade_level == 0 &&
-          rung.precision == Precision::kF32 &&
+      if (refresh_ && block.degrade_level == 0 &&
           refresh_->BeginShadowScore(block.session_seed, block.block_index,
                                      &shadow)) {
         BlockRequest dual;
@@ -170,56 +162,33 @@ void StreamServer::WorkerLoop(Shard* shard) {
   }
 }
 
-StreamServer::Rung StreamServer::ChooseRung(double queue_wait_seconds,
-                                            const BlockRequest& block) const {
-  Rung rung;
-  if (options_.force_degrade_level >= 0 || options_.force_precision >= 0) {
-    if (options_.force_degrade_level >= 0) {
-      rung.degrade_level = options_.force_degrade_level;
-    }
-    if (options_.force_precision >= 0) {
-      rung.precision = static_cast<Precision>(options_.force_precision);
-    }
-    return rung;
-  }
-  // Chaos overrides: an armed "serve.deadline" / "serve.precision" point
-  // decides its axis from (fault seed, session seed, block index) alone — no
-  // wall clock — so two runs of the same stream degrade exactly the same
-  // blocks. The precision key is re-mixed so the two points fire on
-  // independent block subsets.
-  if (FaultRegistry::Global().armed() &&
-      (deadline_fault_->armed() || precision_fault_->armed())) {
+int StreamServer::ChooseRung(double queue_wait_seconds,
+                             const BlockRequest& block) const {
+  if (options_.force_degrade_level >= 0) return options_.force_degrade_level;
+  // Chaos override: an armed "serve.deadline" point decides from (fault
+  // seed, session seed, block index) alone — no wall clock — so two runs of
+  // the same stream degrade exactly the same blocks.
+  if (FaultRegistry::Global().armed() && deadline_fault_->armed()) {
     const uint64_t key = MixSeed(block.session_seed,
                                  static_cast<uint64_t>(block.block_index));
-    if (deadline_fault_->armed() && deadline_fault_->FireKeyed(key)) {
-      rung.degrade_level = 2;
-    }
-    if (precision_fault_->armed() &&
-        precision_fault_->FireKeyed(MixSeed(key, /*stream=*/0x70726563))) {
-      rung.precision = Precision::kInt8;
-    }
-    return rung;
+    return deadline_fault_->FireKeyed(key) ? 2 : 0;
   }
-  if (options_.deadline_seconds <= 0.0) return rung;
-  const double remaining = options_.deadline_seconds - queue_wait_seconds;
-  // Budget already gone: score the cheapest rung rather than shed — a
-  // degraded score still beats a missing one for anomaly detection.
-  if (remaining <= 0.0) return Rung{2, Precision::kInt8};
+  if (options_.deadline_seconds <= 0.0) return 0;
   // Predict the batched scoring cost from observed history; with no history
-  // yet, optimistically assume it fits. The ladder drops precision before it
-  // truncates the chain (DESIGN.md §17): a reduced-precision GEMM costs
-  // thousandths of F1, a truncated chain costs vote diversity. The rung
-  // thresholds are conservative speedup credits (below the measured kernel
-  // ratios — bench/BENCH_kernels.json) since only the GEMM share of a chunk
-  // accelerates.
+  // yet, optimistically assume it fits.
   const double predicted =
       batch_score_->count() > 0 ? batch_score_->Percentile(0.9) : 0.0;
-  if (predicted <= remaining) return rung;
-  const double over = predicted / remaining;
-  if (over <= 1.25) return Rung{0, Precision::kBf16};
-  if (over <= 1.75) return Rung{0, Precision::kInt8};
-  if (over <= 3.0) return Rung{1, Precision::kInt8};
-  return Rung{2, Precision::kInt8};
+  return DeadlineLevel(options_.deadline_seconds - queue_wait_seconds,
+                       predicted);
+}
+
+int StreamServer::DeadlineLevel(double remaining_seconds,
+                                double predicted_seconds) {
+  // Budget already gone: score the cheapest rung rather than shed — a
+  // degraded score still beats a missing one for anomaly detection.
+  if (remaining_seconds <= 0.0) return 2;
+  if (predicted_seconds <= remaining_seconds) return 0;
+  return predicted_seconds / remaining_seconds <= 3.0 ? 1 : 2;
 }
 
 void StreamServer::SwapModel(std::shared_ptr<const ModelEntry> model) {

@@ -31,6 +31,11 @@
 
 namespace imdiff {
 
+// The scoring precision a ScoredBlock carries. Every block scores at fp32;
+// the field survives only because perfbench/perfbench.cc reads it, and a
+// change to the benchmark removes both the enum and the field.
+enum class Precision : uint8_t { kF32 };
+
 class Counter;     // utils/metrics.h
 class Histogram;   // utils/metrics.h
 class FaultPoint;  // utils/fault.h
@@ -44,14 +49,12 @@ class StreamServer {
     int num_workers = 2;
     // Per-shard queue capacity; a full queue rejects new samples.
     int64_t queue_capacity = 1024;
-    // Per-block latency budget for the degradation ladder (DESIGN.md §13,
-    // §17): when queue wait plus the predicted batched-scoring time (p90 of
-    // serve.batch_score_seconds) exceeds this, the block is scored further
-    // down the ladder instead of being shed — precision drops first
-    // (fp32 -> bf16 -> int8), then the reverse chain is truncated
-    // (int8 level 1, int8 level 2). <= 0 disables the policy (always full
-    // quality); shedding at ingest (full shard queue) remains the last
-    // resort either way.
+    // Per-block latency budget for the degradation ladder (DESIGN.md §13):
+    // when queue wait plus the predicted batched-scoring time (p90 of
+    // serve.batch_score_seconds) exceeds this, the block is scored with a
+    // truncated reverse chain (level 1, then level 2) instead of being shed.
+    // <= 0 disables the policy (always full quality); shedding at ingest
+    // (full shard queue) remains the last resort either way.
     double deadline_seconds = 0.0;
     // >= 0 pins every block to that degradation level, bypassing both the
     // deadline policy and the chaos override. Replay/verification knob: two
@@ -59,12 +62,6 @@ class StreamServer {
     // fixed level without coupling the level choice to wall-clock cost
     // estimates.
     int force_degrade_level = -1;
-    // >= 0 pins every block to that scoring precision (a Precision value),
-    // the same replay/verification knob for the precision axis: two seeded
-    // runs at the same pinned precision produce bitwise-identical score
-    // streams. Forcing either axis bypasses the deadline policy and the
-    // chaos overrides for BOTH axes (the unforced axis keeps its default).
-    int force_precision = -1;
     SessionManager::Options session;
     MicroBatcher::Options batch;
     // Continuous model refresh (DESIGN.md §18): background retraining on the
@@ -81,9 +78,7 @@ class StreamServer {
     OnlineDetector::Alert alert;
     // Degradation level the block was scored at (0 = full reverse chain).
     int degrade_level = 0;
-    // Precision the block was scored at (kF32 = full quality). Tagged
-    // end-to-end so alert consumers can tell a degraded-precision score from
-    // a full-quality one.
+    // Always kF32 (see Precision above).
     Precision precision = Precision::kF32;
     // Ready-to-alert latency (batcher queueing + batched scoring) — the same
     // quantity serve.alert_latency_seconds records, surfaced per block so a
@@ -134,6 +129,13 @@ class StreamServer {
   // optimistic branch and re-seeds from the new model's first batches.
   void SwapModel(std::shared_ptr<const ModelEntry> model);
 
+  // The deadline ladder's rule (DESIGN.md §13): the degradation level of a
+  // block with `remaining_seconds` of budget left after queueing, when a
+  // batched scoring pass is predicted to take `predicted_seconds`. Level 0
+  // when the prediction fits, 1 when it overshoots the budget by at most
+  // 3x, else 2; a budget already gone (<= 0) always scores at level 2.
+  static int DeadlineLevel(double remaining_seconds, double predicted_seconds);
+
   SessionManager& sessions() { return sessions_; }
   MicroBatcher& batcher() { return batcher_; }
   // Null unless Options::refresh.enabled.
@@ -160,27 +162,20 @@ class StreamServer {
 
   void WorkerLoop(Shard* shard);
   size_t ShardOf(const std::string& tenant) const;
-  // One rung of the deadline-degradation ladder: how a block is scored.
-  struct Rung {
-    int degrade_level = 0;
-    Precision precision = Precision::kF32;
-  };
-  // Ladder decision for one ready block. Wall-clock based when the deadline
-  // policy is on; when the "serve.deadline" / "serve.precision" fault points
-  // are armed, the corresponding axis instead derives deterministically from
-  // the fault seed and the block's (session seed, block index) — chaos runs
+  // Ladder decision for one ready block: its degradation level. Wall-clock
+  // based when the deadline policy is on; when the "serve.deadline" fault
+  // point is armed, the level instead derives deterministically from the
+  // fault seed and the block's (session seed, block index) — chaos runs
   // need reproducible degradation placement.
-  Rung ChooseRung(double queue_wait_seconds, const BlockRequest& block) const;
+  int ChooseRung(double queue_wait_seconds, const BlockRequest& block) const;
 
   const Options options_;
   // Registry handles resolved once at construction (registry lookups take a
   // lock; the worker loop is the ingest hot path).
-  Histogram* batch_score_ = nullptr;       // serve.batch_score_seconds
-  Counter* degraded_blocks_ = nullptr;     // serve.degraded_blocks
-  Counter* precision_drops_ = nullptr;     // serve.precision_drops
-  FaultPoint* deadline_fault_ = nullptr;   // "serve.deadline" injection point
-  FaultPoint* precision_fault_ = nullptr;  // "serve.precision" injection point
-  Counter* shadow_blocks_ = nullptr;       // serve.shadow_blocks
+  Histogram* batch_score_ = nullptr;      // serve.batch_score_seconds
+  Counter* degraded_blocks_ = nullptr;    // serve.degraded_blocks
+  FaultPoint* deadline_fault_ = nullptr;  // "serve.deadline" injection point
+  Counter* shadow_blocks_ = nullptr;      // serve.shadow_blocks
   SessionManager sessions_;
   MicroBatcher batcher_;
   // Declared after sessions_/batcher_ so it is destroyed first: the trainer

@@ -234,11 +234,10 @@ void SessionManager::CompleteBlock(const BlockRequest& request) {
   // A hot swap between ready and completion invalidates the write-back: the
   // scores belong to the old version, the cache to the new one.
   if (request.model != model_) return;
-  // Degraded (truncated-chain or reduced-precision) scores must not
+  // Degraded (truncated-chain) scores must not
   // contaminate the cache: cached entries are reused as full-quality scores
   // by later overlapping blocks.
   if (request.degrade_level != 0) return;
-  if (request.precision != Precision::kF32) return;
   for (size_t i = 0; i < request.plan.cache_keys.size(); ++i) {
     const int64_t key = request.plan.cache_keys[i];
     if (key < 0 || request.hit[i]) continue;

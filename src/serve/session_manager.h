@@ -86,17 +86,11 @@ struct BlockRequest {
   // ImDiffusionDetector::ChainStartForDegradeLevel). Degraded fresh scores
   // are delivered but never written back to the window-score cache.
   int degrade_level = 0;
-  // Scoring precision chosen by the server's deadline ladder (DESIGN.md §17):
-  // the ladder drops precision (fp32 -> bf16 -> int8) before it truncates the
-  // chain. Like degraded scores, reduced-precision fresh scores are delivered
-  // (tagged on the ScoredBlock) but never written back to the window-score
-  // cache — cached entries are reused as full-quality scores.
-  Precision precision = Precision::kF32;
   // Shadow dual-score request (continuous refresh, DESIGN.md §18): the block
   // is scored against the staged shadow model for drift statistics only.
   // Shadow results are tagged end-to-end, excluded from the alert stream,
-  // and — like degraded and reduced-precision scores — never written back to
-  // the window-score cache (the cache belongs to the live version).
+  // and — like degraded scores — never written back to the window-score
+  // cache (the cache belongs to the live version).
   bool shadow = false;
 };
 

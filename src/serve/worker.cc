@@ -54,8 +54,6 @@ int RunShardWorker(const WorkerOptions& options) {
   WorkerMetrics metrics;
   Counter* degraded = MetricsRegistry::Global().GetCounter(
       "serve.degraded_blocks");
-  Counter* precision_drops = MetricsRegistry::Global().GetCounter(
-      "serve.precision_drops");
   Counter* promotions = MetricsRegistry::Global().GetCounter(
       "refresh.promotions");
   Counter* shadow_blocks = MetricsRegistry::Global().GetCounter(
@@ -81,7 +79,6 @@ int RunShardWorker(const WorkerOptions& options) {
     msg.block_index = block.block_index;
     msg.start = block.alert.start;
     msg.degrade_level = block.degrade_level;
-    msg.precision = static_cast<int64_t>(block.precision);
     msg.latency_seconds = block.latency_seconds;
     msg.scores = block.alert.scores;
     channel.Send(net::Encode(msg));
@@ -161,7 +158,6 @@ int RunShardWorker(const WorkerOptions& options) {
         result.shed = server != nullptr ? server->dropped() : 0;
         result.alerts = alert_blocks.load(std::memory_order_relaxed);
         result.degraded_blocks = degraded->value();
-        result.precision_drops = precision_drops->value();
         result.promotions = promotions->value();
         result.shadow_blocks = shadow_blocks->value();
         channel.Send(net::Encode(result));

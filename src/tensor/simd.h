@@ -37,10 +37,12 @@
 #if defined(__AVX512F__)
 #define IMDIFF_SIMD_AVX512 1
 // GCC 12 flags the undefined-passthrough arg inside the no-mask avx512
-// intrinsics (bug 105593); the pragma scopes the suppression to that header.
+// intrinsics (bug 105593), as -Wmaybe-uninitialized or, once inlined into a
+// kernel, -Wuninitialized; the pragma scopes the suppression to that header.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#pragma GCC diagnostic ignored "-Wuninitialized"
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 #else

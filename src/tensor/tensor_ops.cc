@@ -866,7 +866,9 @@ Tensor Conv1d(const Tensor& x, const Tensor& w, const Tensor& bias, int pad) {
   const float* pw = w.data();
   float* py = y.mutable_data();
   const bool has_bias = bias.numel() > 0;
-  if (has_bias) IMDIFF_CHECK_EQ(bias.numel(), cout);
+  if (has_bias) {
+    IMDIFF_CHECK_EQ(bias.numel(), cout);
+  }
   const float* pb = has_bias ? bias.data() : nullptr;
   // Each batch element writes its own [cout, lout] output block, so the batch
   // loop parallelizes with bitwise-identical results for any thread count.

@@ -2,13 +2,11 @@
 // path of ScoreWindowBatch: the captured / lowered / arena-planned denoiser
 // must be bitwise identical to the autograd layer stack
 // (ScoreWindowBatchOnStack) for every model variant, batch shape, degrade
-// level, precision and kernel mode — the DESIGN.md §12 determinism contract —
+// level and kernel mode — the DESIGN.md §12 determinism contract —
 // and captures must be invalidated (and retraced) when the detector's model
 // is hot-swapped.
 
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <ostream>
 #include <memory>
@@ -113,25 +111,6 @@ Tensor FirstWindows(const Tensor& windows, int64_t n) {
   return subset;
 }
 
-// Relative L2 distance of `scores` from `ref` over every (window, vote step,
-// position); +inf when `scores` carries a non-finite value.
-double ScoresRelL2(const std::vector<ImDiffusionDetector::WindowScore>& scores,
-                   const std::vector<ImDiffusionDetector::WindowScore>& ref) {
-  double num = 0.0, den = 0.0;
-  for (size_t w = 0; w < ref.size(); ++w) {
-    for (size_t s = 0; s < ref[w].step_errors.size(); ++s) {
-      for (size_t i = 0; i < ref[w].step_errors[s].size(); ++i) {
-        const double q = scores[w].step_errors[s][i];
-        const double f = ref[w].step_errors[s][i];
-        if (!std::isfinite(q)) return std::numeric_limits<double>::infinity();
-        num += (q - f) * (q - f);
-        den += f * f;
-      }
-    }
-  }
-  return std::sqrt(num / (den + 1e-30));
-}
-
 // Property: every (batch shape x degrade level x forced-scalar on/off)
 // combination scores bitwise identically through the captured graph and the
 // layer stack.
@@ -213,10 +192,7 @@ void PrintTo(const GraphVariant& variant, std::ostream* os) {
 class GraphVariantTest : public ::testing::TestWithParam<GraphVariant> {};
 
 // Property: each variant scores bitwise identically through the graph and
-// the stack at every degrade level in both kernel modes. The precision
-// rotates with the level and the mode, so each mode sees every precision
-// once; the full (level x precision x mode) cross runs on the base config in
-// ReducedPrecisionMatchesLegacyStackPerLevel.
+// the stack at every degrade level in both kernel modes.
 TEST_P(GraphVariantTest, BitwiseMatchesLegacyStackAtEveryRung) {
   ImDiffusionConfig config = GraphTinyConfig(17);
   GetParam().apply(&config);
@@ -229,17 +205,14 @@ TEST_P(GraphVariantTest, BitwiseMatchesLegacyStackAtEveryRung) {
   ASSERT_GE(plan.windows.dim(0), n);
   const Tensor subset = FirstWindows(plan.windows, n);
   const std::vector<uint64_t> seeds = SeedsFor(n);
-  const Precision precisions[] = {Precision::kF32, Precision::kBf16,
-                                  Precision::kInt8};
   const bool scalar_before = simd::ForceScalar();
   for (const bool force_scalar : {false, true}) {
     simd::SetForceScalar(force_scalar);
     for (int level = 0; level <= 2; ++level) {
-      const Precision p = precisions[(level + (force_scalar ? 1 : 0)) % 3];
       ExpectScoresBitwiseEqual(
-          detector.ScoreWindowBatch(subset, seeds, level, p),
-          detector.ScoreWindowBatchOnStack(subset, seeds, level, p),
-          std::string(GetParam().name) + " " + PrecisionName(p) +
+          detector.ScoreWindowBatch(subset, seeds, level),
+          detector.ScoreWindowBatchOnStack(subset, seeds, level),
+          std::string(GetParam().name) +
               " scalar=" + std::to_string(force_scalar) +
               " level=" + std::to_string(level));
     }
@@ -291,57 +264,6 @@ TEST(GraphExecutorTest, ScoresBitwiseIdenticalAcrossThreadCounts) {
     }
   }
   SetComputeThreads(threads_before);
-}
-
-// The precision axis obeys the same contract as every other knob: for each
-// (precision x degrade level x forced-scalar) combination the captured graph
-// and the layer stack score bitwise identically, repeats at one precision
-// are bitwise stable, and reduced precisions genuinely change the bits —
-// but only within a catastrophe bound of the fp32 stack. A correct bf16 or
-// int8 lowering lands far below the bound; a wrong one (bad pack geometry,
-// swapped scales) blows through it. Accuracy proper is judged end to end by
-// the eval accuracy gate, not here.
-TEST(GraphExecutorTest, ReducedPrecisionMatchesLegacyStackPerLevel) {
-  // This test requests specific precisions per call; an IMDIFF_PRECISION
-  // override (the forced-precision CI legs) would collapse the fp32
-  // baseline onto the forced rung and break the EXPECT_NE below.
-  ScopedPrecisionOverrideClear no_override;
-  const ImDiffusionDetector& detector = SharedDetector();
-  const MtsDataset data = GraphDataset();
-  const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(data.test);
-  const int64_t n = std::min<int64_t>(5, plan.windows.dim(0));
-  const Tensor subset = FirstWindows(plan.windows, n);
-  const std::vector<uint64_t> seeds = SeedsFor(n);
-
-  const bool scalar_before = simd::ForceScalar();
-  for (const bool force_scalar : {false, true}) {
-    simd::SetForceScalar(force_scalar);
-    for (const Precision p : {Precision::kBf16, Precision::kInt8}) {
-      const double bound = p == Precision::kInt8 ? 0.5 : 0.25;
-      for (int level = 0; level <= 2; ++level) {
-        const auto graph_scores =
-            detector.ScoreWindowBatch(subset, seeds, level, p);
-        const std::string what = std::string(PrecisionName(p)) +
-                                 " scalar=" + std::to_string(force_scalar) +
-                                 " level=" + std::to_string(level);
-        ExpectScoresBitwiseEqual(
-            graph_scores,
-            detector.ScoreWindowBatchOnStack(subset, seeds, level, p), what);
-        // Same precision scores the same bits on a repeat...
-        ExpectScoresBitwiseEqual(
-            graph_scores, detector.ScoreWindowBatch(subset, seeds, level, p),
-            what + " repeat");
-        // ...different bits than the fp32 rung, within the bound of the
-        // fp32 stack.
-        const auto f32_stack = detector.ScoreWindowBatchOnStack(
-            subset, seeds, level, Precision::kF32);
-        EXPECT_NE(graph_scores[0].step_errors, f32_stack[0].step_errors)
-            << what;
-        EXPECT_LE(ScoresRelL2(graph_scores, f32_stack), bound) << what;
-      }
-    }
-  }
-  simd::SetForceScalar(scalar_before);
 }
 
 // Full seeded pass (windowing + scoring + reduction) agrees end to end with

@@ -86,7 +86,8 @@ TEST(IntegrationTest, ImDiffusionRejectsFeatureMismatch) {
 
 TEST(IntegrationTest, NormalizationUsesTrainStatisticsOnly) {
   MtsDataset dataset;
-  dataset.name = "t";
+  // Assigning the bare literal trips a GCC 12 -Wrestrict false positive.
+  dataset.name = std::string("t");
   dataset.train = Tensor({4, 1}, {0, 1, 2, 4});
   dataset.test = Tensor({2, 1}, {8, -4});
   dataset.test_labels = {0, 0};

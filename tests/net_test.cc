@@ -114,7 +114,6 @@ TEST(MessagesTest, SubmitAndScoredBlockRoundTrip) {
   block.block_index = 3;
   block.start = 150;
   block.degrade_level = 1;
-  block.precision = 2;
   block.latency_seconds = 0.125;
   block.scores = {0.5f, 0.75f};
   net::ScoredBlockMsg block2;
@@ -123,7 +122,6 @@ TEST(MessagesTest, SubmitAndScoredBlockRoundTrip) {
   EXPECT_EQ(block2.block_index, block.block_index);
   EXPECT_EQ(block2.start, block.start);
   EXPECT_EQ(block2.degrade_level, block.degrade_level);
-  EXPECT_EQ(block2.precision, block.precision);
   EXPECT_EQ(block2.latency_seconds, block.latency_seconds);
   EXPECT_EQ(block2.scores, block.scores);
 }

@@ -1106,15 +1106,11 @@ TEST(ServeDegradeTest, DeadlineDegradationIsDeterministicAndTagged) {
   }
 }
 
-// force_precision pins every block to a reduced precision: blocks are tagged
-// end-to-end, the run is bitwise reproducible, it matches a serial replay
-// pinned at the same rung — and reduced-precision scores never enter the
-// window-score cache (the cache is an fp32-only contract).
-TEST(ServePrecisionTest, ForcedPrecisionPinsTagsAndSkipsCache) {
-  // The fp32 phase below must really score at fp32 to differ from the
-  // forced-int8 phase; neutralize any IMDIFF_PRECISION override (the
-  // forced-precision CI legs) for the duration of the test.
-  ScopedPrecisionOverrideClear no_override;
+// force_degrade_level pins every block to a truncated chain: blocks are
+// tagged end-to-end, the run is bitwise reproducible, it matches a serial
+// replay pinned at the same level — and degraded scores never enter the
+// window-score cache (cached entries are reused as full-quality scores).
+TEST(ServeDegradeTest, ForcedLevelPinsTagsAndSkipsCache) {
   std::shared_ptr<const ModelEntry> model = SharedModel();
   StreamServer::Options options;
   options.num_workers = 1;
@@ -1122,113 +1118,153 @@ TEST(ServePrecisionTest, ForcedPrecisionPinsTagsAndSkipsCache) {
   options.session.online.context = 50;
   options.session.seed_base = 37;
   options.batch.flush_window_seconds = 0.002;
-  // Two tenants with identical content: at fp32 the second tenant's windows
-  // hit the shared window-score cache.
+  // Two tenants with identical content: at full quality the second tenant's
+  // windows hit the shared window-score cache.
   const std::vector<TenantStream> streams = {MakeStream("pin-a", 161, 200),
                                              MakeStream("pin-b", 161, 200)};
   const int64_t hits_before = CounterValue("serve.cache_hits");
-  const serve::ReplayStats fp32_run =
+  const serve::ReplayStats full_run =
       serve::ReplayThroughServer(model, streams, options);
   EXPECT_GT(CounterValue("serve.cache_hits"), hits_before);
-  EXPECT_EQ(fp32_run.precision_dropped_alerts, 0);
+  EXPECT_EQ(full_run.degraded_alerts, 0);
 
-  options.force_precision = static_cast<int>(Precision::kInt8);
-  const int64_t hits_fp32 = CounterValue("serve.cache_hits");
-  const int64_t drops_before = CounterValue("serve.precision_drops");
+  options.force_degrade_level = 1;
+  const int64_t hits_full = CounterValue("serve.cache_hits");
+  const int64_t degraded_before = CounterValue("serve.degraded_blocks");
   const serve::ReplayStats first =
       serve::ReplayThroughServer(model, streams, options);
   // Identical windows recur, but nothing was cached and nothing hit.
-  EXPECT_EQ(CounterValue("serve.cache_hits"), hits_fp32);
-  EXPECT_EQ(first.precision_dropped_alerts, first.alerts);
-  EXPECT_EQ(CounterValue("serve.precision_drops") - drops_before,
+  EXPECT_EQ(CounterValue("serve.cache_hits"), hits_full);
+  EXPECT_EQ(first.degraded_alerts, first.alerts);
+  EXPECT_EQ(CounterValue("serve.degraded_blocks") - degraded_before,
             first.alerts);
-  // Pinned rung, seeded noise: a second run reproduces every bit, and the
-  // serial replay pinned at (level 0, int8) is the exact reference.
+  // Pinned level, seeded noise: a second run reproduces every bit, and the
+  // serial replay pinned at level 1 is the exact reference.
   const serve::ReplayStats second =
       serve::ReplayThroughServer(model, streams, options);
   EXPECT_EQ(first.scores, second.scores);
   for (const TenantStream& stream : streams) {
     EXPECT_EQ(serve::ReplaySerial(*model, options.session.online,
                                   options.session.seed_base, stream,
-                                  /*degrade_level=*/0, Precision::kInt8),
+                                  /*degrade_level=*/1),
               first.scores.at(stream.tenant))
         << stream.tenant;
   }
-  EXPECT_NE(first.scores.at("pin-a"), fp32_run.scores.at("pin-a"));
+  EXPECT_NE(first.scores.at("pin-a"), full_run.scores.at("pin-a"));
 }
 
-// The keyed "serve.precision" chaos point drops every block to int8
-// (probability 1): tagged, bitwise-reproducible, equal to the serial replay
-// pinned at the same precision with the chain untouched.
-TEST(ServePrecisionTest, PrecisionChaosIsDeterministicAndTagged) {
+// The keyed "serve.deadline" chaos point at probability 0.5 degrades a
+// subset of blocks chosen from (fault seed, session seed, block index)
+// alone, so two identical runs degrade exactly the same blocks and score
+// them identically.
+TEST(ServeDegradeTest, DeadlineChaosDegradesSameBlocksAcrossRuns) {
   std::shared_ptr<const ModelEntry> model = SharedModel();
-  FaultScope faults("serve.precision:1", 77);
+  FaultScope faults("serve.deadline:0.5", 77);
   StreamServer::Options options;
   options.num_workers = 1;
   options.session.online.block = 50;
   options.session.online.context = 50;
   options.session.seed_base = 41;
   options.batch.flush_window_seconds = 0.002;
-  const std::vector<TenantStream> streams = {MakeStream("chaos-a", 171, 150),
-                                             MakeStream("chaos-b", 172, 150)};
+  const std::vector<TenantStream> streams = {MakeStream("chaos-a", 171, 400),
+                                             MakeStream("chaos-b", 172, 400)};
 
-  const serve::ReplayStats first =
-      serve::ReplayThroughServer(model, streams, options);
-  EXPECT_EQ(first.precision_dropped_alerts, first.alerts);
-  EXPECT_EQ(first.degraded_alerts, 0);  // precision axis only — full chain
-  const serve::ReplayStats second =
-      serve::ReplayThroughServer(model, streams, options);
-  EXPECT_EQ(first.scores, second.scores);
-  for (const TenantStream& stream : streams) {
-    EXPECT_EQ(serve::ReplaySerial(*model, options.session.online,
-                                  options.session.seed_base, stream,
-                                  /*degrade_level=*/0, Precision::kInt8),
-              first.scores.at(stream.tenant))
-        << stream.tenant;
+  // (tenant, block index) -> degradation level, over one run.
+  auto run = [&] {
+    std::map<std::pair<std::string, int64_t>, int> levels;
+    std::mutex mu;
+    StreamServer server(model, options,
+                        [&](const StreamServer::ScoredBlock& scored) {
+                          std::lock_guard<std::mutex> lock(mu);
+                          levels[{scored.tenant, scored.block_index}] =
+                              scored.degrade_level;
+                        });
+    const int64_t k = streams.front().samples.dim(1);
+    std::vector<float> sample(static_cast<size_t>(k));
+    for (int64_t l = 0; l < 400; ++l) {
+      for (const TenantStream& stream : streams) {
+        std::copy_n(stream.samples.data() + l * k, k, sample.begin());
+        while (!server.Submit(stream.tenant, sample)) {
+          std::this_thread::yield();
+        }
+      }
+    }
+    server.Drain();
+    server.Shutdown();
+    return levels;
+  };
+  const auto first = run();
+  const auto second = run();
+  EXPECT_EQ(first, second);
+  int64_t degraded = 0;
+  for (const auto& [block, level] : first) {
+    EXPECT_TRUE(level == 0 || level == 2) << block.first << " " << block.second;
+    degraded += level == 2 ? 1 : 0;
   }
+  // Every block was delivered, and the point split them.
+  EXPECT_EQ(first.size(), 2u * (400 / 50));
+  EXPECT_GT(degraded, 0);
+  EXPECT_LT(degraded, static_cast<int64_t>(first.size()));
+
+  // The scores follow the same placement: reproducible bit for bit.
+  EXPECT_EQ(serve::ReplayThroughServer(model, streams, options).scores,
+            serve::ReplayThroughServer(model, streams, options).scores);
 }
 
-// Mild deadline pressure drops precision before it truncates the chain: an
-// overshoot within the bf16 speedup credit scores at (level 0, bf16) — vote
-// diversity is spent only after both precision rungs.
-TEST(ServePrecisionTest, DeadlinePressureDropsPrecisionBeforeSteps) {
+// The deadline ladder's rule, one axis: level 0 within budget, level 1 for
+// an overshoot of at most 3x, level 2 beyond that or with the budget gone.
+TEST(ServeDegradeTest, DeadlineLevelFollowsOvershoot) {
+  EXPECT_EQ(StreamServer::DeadlineLevel(5.0, 0.0), 0);  // no history yet
+  EXPECT_EQ(StreamServer::DeadlineLevel(5.0, 4.0), 0);
+  EXPECT_EQ(StreamServer::DeadlineLevel(5.0, 5.0), 0);
+  EXPECT_EQ(StreamServer::DeadlineLevel(5.0, 5.5), 1);
+  EXPECT_EQ(StreamServer::DeadlineLevel(5.0, 15.0), 1);  // over = 3.0
+  EXPECT_EQ(StreamServer::DeadlineLevel(5.0, 15.5), 2);
+  EXPECT_EQ(StreamServer::DeadlineLevel(5.0, 100.0), 2);
+  EXPECT_EQ(StreamServer::DeadlineLevel(0.0, 0.0), 2);  // budget gone
+  EXPECT_EQ(StreamServer::DeadlineLevel(-1.0, 0.0), 2);
+}
+
+// The served ladder applies that rule to the p90 of
+// serve.batch_score_seconds: a mild overshoot truncates to level 1, a large
+// one to level 2.
+TEST(ServeDegradeTest, DeadlinePressureTruncatesByOvershoot) {
   std::shared_ptr<const ModelEntry> model = SharedModel();
   Histogram* batch_score =
       MetricsRegistry::Global().GetHistogram("serve.batch_score_seconds");
-  batch_score->Reset();
-  // p90 of 6s against a 5s deadline: over = 1.2, inside the bf16 credit.
-  batch_score->Record(6.0);
+  // p90 against a 5s deadline: 6s is over = 1.2, 20s is over = 4.
+  for (const auto& [p90, level] : {std::pair<double, int>{6.0, 1},
+                                   std::pair<double, int>{20.0, 2}}) {
+    batch_score->Reset();
+    batch_score->Record(p90);
 
-  StreamServer::Options options;
-  options.num_workers = 1;
-  options.deadline_seconds = 5.0;
-  options.session.online.block = 50;
-  options.session.online.context = 50;
-  options.session.seed_base = 43;
-  options.batch.flush_window_seconds = 0.002;
+    StreamServer::Options options;
+    options.num_workers = 1;
+    options.deadline_seconds = 5.0;
+    options.session.online.block = 50;
+    options.session.online.context = 50;
+    options.session.seed_base = 43;
+    options.batch.flush_window_seconds = 0.002;
 
-  std::mutex mu;
-  std::vector<std::pair<int, Precision>> rungs;
-  StreamServer server(model, options,
-                      [&](const StreamServer::ScoredBlock& scored) {
-                        std::lock_guard<std::mutex> lock(mu);
-                        rungs.emplace_back(scored.degrade_level,
-                                           scored.precision);
-                      });
-  const TenantStream stream = MakeStream("pressure", 181, 50);
-  const int64_t k = stream.samples.dim(1);
-  std::vector<float> sample(static_cast<size_t>(k));
-  for (int64_t l = 0; l < 50; ++l) {
-    std::copy_n(stream.samples.data() + l * k, k, sample.begin());
-    while (!server.Submit("pressure", sample)) std::this_thread::yield();
-  }
-  server.Drain();
-  server.Shutdown();
-  {
+    std::mutex mu;
+    std::vector<int> levels;
+    StreamServer server(model, options,
+                        [&](const StreamServer::ScoredBlock& scored) {
+                          std::lock_guard<std::mutex> lock(mu);
+                          levels.push_back(scored.degrade_level);
+                        });
+    const TenantStream stream = MakeStream("pressure", 181, 50);
+    const int64_t k = stream.samples.dim(1);
+    std::vector<float> sample(static_cast<size_t>(k));
+    for (int64_t l = 0; l < 50; ++l) {
+      std::copy_n(stream.samples.data() + l * k, k, sample.begin());
+      while (!server.Submit("pressure", sample)) std::this_thread::yield();
+    }
+    server.Drain();
+    server.Shutdown();
     std::lock_guard<std::mutex> lock(mu);
-    ASSERT_EQ(rungs.size(), 1u);
-    EXPECT_EQ(rungs[0].first, 0);  // chain untouched
-    EXPECT_EQ(rungs[0].second, Precision::kBf16);
+    ASSERT_EQ(levels.size(), 1u) << "p90 " << p90;
+    EXPECT_EQ(levels[0], level) << "p90 " << p90;
   }
   batch_score->Reset();
 }

@@ -2,7 +2,7 @@
 //
 // Simulated microservice-latency streams (the Table 7 generator, one
 // realization per tenant) are replayed as N interleaved tenants through a
-// StreamServer: bounded ingest queues -> sharded workers -> per-tenant
+// StreamServer: bounded ingest queues -> worker threads -> per-tenant
 // sessions -> cross-session micro-batching. The harness then replays every
 // tenant serially (fresh per-block scoring, no batching, no window cache)
 // and checks that the served score streams are BITWISE identical to the
@@ -18,8 +18,7 @@
 //   [--zipf EXP] [--total-samples N] [--missing R] [--gaps R] [--drift R]
 //   [--shifts R] [--season A] [--dynamics-scale F] [--dynamics-break B]
 //   [--burst-min N] [--burst-tail T] [--drain-every N]
-//   [--shards N] [--socket-dir D] [--worker-bin PATH] [--worker-threads T]
-//   [--fail-on-shed] [--reshard-every N] [--reshard-tenants M]
+//   [--fail-on-shed]
 //   [--refresh-every N] [--refresh-recent N] [--shadow-fraction F]
 //   [--verdict-pairs P] [--refresh-psi X] [--refresh-ks X]
 //   [--refresh-mean-ratio X] [--refresh-epochs N]
@@ -34,21 +33,7 @@
 // is a pure function of the stream and the seeds: with --workers 1 and
 // drain-point-only flushes, two identical runs produce bitwise-identical
 // promotion logs, which --scores-out records as hex "refresh ..." lines —
-// the refresh-drift CI job cmp's them. In sharded mode the flags are
-// forwarded to every worker and each shard refreshes independently.
-//
-// --shards N (requires --zipf) switches to multi-process sharded serving
-// (DESIGN.md §16): N imdiff_worker processes are spawned on unix-domain
-// sockets under --socket-dir, tenants are placed on them by consistent
-// hashing, and the identical deterministic workload is driven through a
-// ShardRouter. The --scores-out dump's tenant lines are bitwise identical to
-// the single-process run's, and the whole file is identical across shard
-// counts and across identically-seeded runs. --reshard-every R moves
-// --reshard-tenants tenants to the next shard after every R-th drain barrier
-// (live resharding); --faults router.shard_down:#K kills a live shard
-// mid-run and must lose nothing. --fail-on-shed exits nonzero when any
-// submission was shed or any re-delivered block mismatched its first
-// delivery bitwise.
+// the refresh-drift CI job cmp's them.
 //
 // --zipf EXP switches to load-generator mode (DESIGN.md §15): --tenants
 // tenants (10k+ works) drawing Zipf(EXP)-distributed traffic in heavy-tailed
@@ -60,6 +45,8 @@
 // bitwise-identical --scores-out dumps when --workers 1 and flushes land only
 // at drain points (large --flush-ms and --batch-windows) — eviction order is
 // deterministic exactly when block completion is.
+//
+// --fail-on-shed exits nonzero when any submission was shed at ingest.
 //
 // --model PATH warm-loads the checkpoint when it exists (skipping training)
 // and writes it after training otherwise, so repeated runs exercise the
@@ -77,12 +64,7 @@
 // deadline policy), so two runs that differ only in build or host produce
 // comparable --scores-out dumps at a fixed level instead of coupling level
 // choice to wall-clock speed. The serial baseline is scored at the pinned
-// level too, so the bitwise comparison still runs. In sharded mode the flag
-// is forwarded to every worker.
-
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
+// level too, so the bitwise comparison still runs.
 
 #include <cinttypes>
 #include <cstdio>
@@ -94,10 +76,7 @@
 
 #include "core/imdiffusion.h"
 #include "data/benchmarks.h"
-#include "net/socket.h"
 #include "serve/replay.h"
-#include "serve/router.h"
-#include "serve/worker.h"
 #include "utils/fault.h"
 #include "utils/flags.h"
 #include "utils/logging.h"
@@ -146,14 +125,7 @@ struct ReplayFlags {
   int64_t burst_min = 4;
   double burst_tail = 1.2;
   int64_t drain_every = 4096;
-  // Sharded mode (> 0 enables; requires --zipf): number of worker processes.
-  int64_t shards = 0;
-  std::string socket_dir;   // empty: /tmp/imdiff-shards-<pid>
-  std::string worker_bin;   // empty: imdiff_worker next to this binary
-  int worker_threads = 0;   // ingest threads per worker; 0: --workers
   bool fail_on_shed = false;
-  int64_t reshard_every = 0;  // move tenants after every Nth drain barrier
-  int64_t reshard_tenants = 1;
   // Continuous refresh (> 0 enables; requires --zipf): fit cadence in
   // accepted samples, per-tenant recent-sample cap, shadow selection
   // fraction, verdict pair count, and the drift-verdict gates.
@@ -241,20 +213,8 @@ ReplayFlags ParseFlags(int argc, char** argv) {
       flags.burst_tail = FlagValue<double>(flag, next());
     } else if (std::strcmp(argv[i], "--drain-every") == 0) {
       flags.drain_every = FlagValue<int64_t>(flag, next());
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      flags.shards = FlagValue<int64_t>(flag, next());
-    } else if (std::strcmp(argv[i], "--socket-dir") == 0) {
-      flags.socket_dir = next();
-    } else if (std::strcmp(argv[i], "--worker-bin") == 0) {
-      flags.worker_bin = next();
-    } else if (std::strcmp(argv[i], "--worker-threads") == 0) {
-      flags.worker_threads = FlagValue<int>(flag, next());
     } else if (std::strcmp(argv[i], "--fail-on-shed") == 0) {
       flags.fail_on_shed = true;
-    } else if (std::strcmp(argv[i], "--reshard-every") == 0) {
-      flags.reshard_every = FlagValue<int64_t>(flag, next());
-    } else if (std::strcmp(argv[i], "--reshard-tenants") == 0) {
-      flags.reshard_tenants = FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--refresh-every") == 0) {
       flags.refresh_every = FlagValue<int64_t>(flag, next());
     } else if (std::strcmp(argv[i], "--refresh-recent") == 0) {
@@ -303,9 +263,9 @@ void RebaseStreamToStats(const MinMaxStats& stats, UglyStreamConfig* stream) {
   }
 }
 
-// One LoadConfig for every consumer of the plan (single-process load,
-// sharded load, and the training-corpus builder below): the plan is a pure
-// function of this config, so all three must construct it identically.
+// One LoadConfig for both consumers of the plan (the load run and the
+// training-corpus builder below): the plan is a pure function of this
+// config, so both must construct it identically.
 serve::LoadConfig BuildLoadConfigFromFlags(const ReplayFlags& flags,
                                            const MinMaxStats& stats) {
   serve::LoadConfig load;
@@ -513,282 +473,8 @@ int RunZipfLoad(const ReplayFlags& flags,
   return exit_code;
 }
 
-// ---------------------------------------------------------------------------
-// Sharded mode (DESIGN.md §16): spawn N imdiff_worker processes, drive the
-// same deterministic Zipf workload through a ShardRouter.
-
-std::string ShardSocketPath(const std::string& dir, int64_t shard) {
-  char name[64];
-  std::snprintf(name, sizeof(name), "/shard-%02" PRId64 ".sock", shard);
-  return dir + name;
-}
-
-std::string DirName(const std::string& path) {
-  const size_t slash = path.rfind('/');
-  return slash == std::string::npos ? std::string(".") : path.substr(0, slash);
-}
-
-// fork + execv one worker. The parent is multithreaded by now (the compute
-// pool ran training), so only async-signal-safe calls may happen between
-// fork and exec — argv is fully materialized beforehand and the environment
-// is inherited as-is.
-pid_t SpawnWorker(const std::string& worker_bin,
-                  const std::vector<std::string>& args) {
-  std::vector<char*> argv;
-  argv.push_back(const_cast<char*>(worker_bin.c_str()));
-  for (const std::string& a : args) {
-    argv.push_back(const_cast<char*>(a.c_str()));
-  }
-  argv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::execv(worker_bin.c_str(), argv.data());
-    _exit(127);
-  }
-  return pid;
-}
-
-int RunShardedLoad(const ReplayFlags& flags, const MinMaxStats& norm,
-                   int64_t num_features) {
-  IMDIFF_CHECK(FileExists(flags.model_path))
-      << "sharded mode needs the checkpoint on disk:" << flags.model_path;
-
-  // Worker serving options mirror this process's flags so every shard scores
-  // exactly like the single-process baseline (the bitwise-parity invariant).
-  const int worker_threads =
-      flags.worker_threads > 0 ? flags.worker_threads : flags.workers;
-  struct ShardProcess {
-    int64_t id = 0;
-    pid_t pid = -1;
-  };
-  std::vector<ShardProcess> workers;
-  for (int64_t s = 0; s < flags.shards; ++s) {
-    std::vector<std::string> args = {
-        "--socket",        ShardSocketPath(flags.socket_dir, s),
-        "--shard-id",      FormatFlag(s),
-        "--block",         FormatFlag(flags.block),
-        "--context",       FormatFlag(flags.context),
-        "--flush-ms",      FormatFlag(flags.flush_ms),
-        "--batch-windows", FormatFlag(flags.batch_windows),
-        "--queue",         FormatFlag(flags.queue),
-        "--workers",       FormatFlag(worker_threads),
-        "--max-resident",  FormatFlag(flags.max_resident),
-        "--max-stashed",   FormatFlag(flags.max_stashed),
-        "--seed",          FormatFlag(flags.seed),
-        "--deadline-ms",   FormatFlag(flags.deadline_ms),
-    };
-    if (flags.epochs >= 0) {
-      args.push_back("--epochs");
-      args.push_back(FormatFlag(flags.epochs));
-    }
-    if (flags.force_degrade >= 0) {
-      args.push_back("--force-degrade");
-      args.push_back(FormatFlag(flags.force_degrade));
-    }
-    if (flags.refresh_every > 0) {
-      args.push_back("--refresh-every");
-      args.push_back(FormatFlag(flags.refresh_every));
-      args.push_back("--refresh-recent");
-      args.push_back(FormatFlag(flags.refresh_recent));
-      args.push_back("--shadow-fraction");
-      args.push_back(FormatFlag(flags.shadow_fraction));
-      args.push_back("--verdict-pairs");
-      args.push_back(FormatFlag(flags.verdict_pairs));
-      args.push_back("--refresh-psi");
-      args.push_back(FormatFlag(flags.refresh_psi));
-      args.push_back("--refresh-ks");
-      args.push_back(FormatFlag(flags.refresh_ks));
-      args.push_back("--refresh-mean-ratio");
-      args.push_back(FormatFlag(flags.refresh_mean_ratio));
-      args.push_back("--refresh-epochs");
-      args.push_back(FormatFlag(flags.refresh_epochs));
-    }
-    ShardProcess p;
-    p.id = s;
-    p.pid = SpawnWorker(flags.worker_bin, args);
-    IMDIFF_CHECK(p.pid > 0) << "fork failed for shard" << s;
-    workers.push_back(p);
-  }
-  std::printf("shards: %" PRId64 " workers spawned (dir %s, %d ingest "
-              "thread%s each)\n",
-              flags.shards, flags.socket_dir.c_str(), worker_threads,
-              worker_threads == 1 ? "" : "s");
-
-  int exit_code = 0;
-  int64_t expected_crashes = 0;
-  {
-    serve::RouterOptions options;
-    options.seed = flags.fault_seed;
-    // Generous dial budget: it also covers the worker-spawn race at startup.
-    options.reconnect.max_attempts = 10;
-    options.reconnect.base_seconds = 0.01;
-    for (int64_t s = 0; s < flags.shards; ++s) {
-      serve::ShardSpec spec;
-      spec.id = s;
-      spec.socket_path = ShardSocketPath(flags.socket_dir, s);
-      options.shards.push_back(std::move(spec));
-    }
-    serve::ShardRouter router(options);
-    IMDIFF_CHECK(router.Connect()) << "connect failed: " << router.error();
-    IMDIFF_CHECK(router.Publish("latency", flags.model_path, num_features,
-                                flags.seed, norm.min, norm.max))
-        << "publish failed: " << router.error();
-
-    serve::ShardedLoadConfig config;
-    config.load = BuildLoadConfigFromFlags(flags, norm);
-    config.load.collect_scores = !flags.scores_out.empty();
-    config.reshard_every = flags.reshard_every;
-    config.reshard_tenants = flags.reshard_tenants;
-
-    const serve::ShardedLoadStats stats =
-        serve::ReplayLoadSharded(router, config, num_features);
-    expected_crashes = stats.crashes;
-
-    std::printf("sharded load: %" PRId64 " active tenants, %.2fs, %.1f "
-                "points/s, %" PRId64 " blocks delivered (%" PRId64
-                " degraded alerts)\n",
-                stats.tenants, stats.seconds, stats.points_per_second,
-                stats.alerts, stats.degraded_alerts);
-    std::printf("assembly: %" PRId64 " positions written, %" PRId64
-                " duplicate blocks, %" PRId64 " score conflicts | drain: %"
-                PRId64 " accepted, %" PRId64 " shed, %" PRId64
-                " degraded blocks\n",
-                stats.positions_written, stats.duplicate_blocks,
-                stats.score_conflicts, stats.accepted, stats.shed,
-                stats.degraded_blocks);
-    std::printf("chaos: %" PRId64 " moves, %" PRId64 " shard crashes, %"
-                PRId64 " of %" PRId64 " shards alive at exit\n",
-                stats.moves, stats.crashes, router.alive_shards(),
-                flags.shards);
-    if (flags.refresh_every > 0) {
-      std::printf("refresh: %" PRId64 " promotions, %" PRId64
-                  " shadow blocks dual-scored across shards\n",
-                  stats.promotions, stats.shadow_blocks);
-    }
-    std::printf("tenant latency: p50 across tenants p50=%.1fms p99=%.1fms | "
-                "p99 across tenants p50=%.1fms p99=%.1fms | peak rss %" PRId64
-                " KB\n",
-                stats.tenant_p50.p50 * 1e3, stats.tenant_p50.p99 * 1e3,
-                stats.tenant_p99.p50 * 1e3, stats.tenant_p99.p99 * 1e3,
-                stats.peak_rss_kb);
-
-    if (!flags.scores_out.empty()) {
-      // Same hex-exact tenant lines as the single-process dump, plus the one
-      // counter that is invariant across shard counts. Whole-file cmp works
-      // between any two sharded runs (any --shards); against the
-      // single-process dump, compare the '^tenant-' lines.
-      std::ofstream out(flags.scores_out);
-      for (const auto& [tenant, scores] : stats.scores) {
-        out << tenant;
-        char buf[40];
-        for (float s : scores) {
-          std::snprintf(buf, sizeof(buf), " %a", static_cast<double>(s));
-          out << buf;
-        }
-        out << "\n";
-      }
-      out << "serve.degraded_blocks " << stats.degraded_blocks << "\n";
-      out.flush();
-      if (out.good()) {
-        IMDIFF_LOG(Info) << "score dump written to " << flags.scores_out;
-      } else {
-        IMDIFF_LOG(Error) << "failed to write score dump to "
-                          << flags.scores_out;
-        exit_code = 1;
-      }
-    }
-
-    if (!flags.metrics_out.empty()) {
-      // One merged report across every surviving shard plus the router.
-      std::ofstream out(flags.metrics_out);
-      out << router.MergedMetricsJson();
-      out.flush();
-      if (out.good()) {
-        IMDIFF_LOG(Info) << "merged metrics written to " << flags.metrics_out;
-      } else {
-        IMDIFF_LOG(Error) << "failed to write merged metrics to "
-                          << flags.metrics_out;
-        exit_code = 1;
-      }
-    }
-
-    if (flags.fail_on_shed &&
-        (stats.score_conflicts > 0 || stats.shed > 0)) {
-      IMDIFF_LOG(Error) << "--fail-on-shed: " << stats.score_conflicts
-                        << " score conflicts, " << stats.shed
-                        << " shed submissions";
-      exit_code = 1;
-    }
-    router.ShutdownAll();
-  }
-
-  // Reap the workers: kShutdown exits 0, a chaos kCrash exits 2. Anything
-  // else (bind failure, exec failure, signal, or a hang past the grace
-  // period) is a harness failure.
-  int64_t crashed = 0;
-  for (ShardProcess& p : workers) {
-    int status = 0;
-    pid_t got = 0;
-    for (int spin = 0; spin < 1000; ++spin) {  // ~10 s grace
-      got = ::waitpid(p.pid, &status, WNOHANG);
-      if (got == p.pid || got < 0) break;
-      ::usleep(10000);
-    }
-    if (got != p.pid) {
-      IMDIFF_LOG(Error) << "worker shard " << p.id << " (pid " << p.pid
-                        << ") did not exit; killing";
-      ::kill(p.pid, SIGKILL);
-      ::waitpid(p.pid, &status, 0);
-      exit_code = 1;
-      continue;
-    }
-    if (WIFEXITED(status) && WEXITSTATUS(status) == serve::kWorkerExitCrashed) {
-      ++crashed;
-    } else if (!WIFEXITED(status) ||
-               WEXITSTATUS(status) != serve::kWorkerExitOk) {
-      IMDIFF_LOG(Error) << "worker shard " << p.id << " exited abnormally "
-                        << "(status " << status << ")";
-      exit_code = 1;
-    }
-  }
-  if (crashed != expected_crashes) {
-    IMDIFF_LOG(Error) << crashed << " workers exited crashed but the run "
-                      << "crashed " << expected_crashes;
-    exit_code = 1;
-  }
-  return exit_code;
-}
-
 int Main(int argc, char** argv) {
-  ReplayFlags flags = ParseFlags(argc, argv);
-
-  // Sharded mode: resolve and validate every path before training — a
-  // stale socket or missing worker binary must fail in the first second.
-  if (flags.shards > 0) {
-    IMDIFF_CHECK(flags.zipf > 0.0) << "--shards requires the --zipf load mode";
-    if (flags.socket_dir.empty()) {
-      char dir[64];
-      std::snprintf(dir, sizeof(dir), "/tmp/imdiff-shards-%d",
-                    static_cast<int>(::getpid()));
-      flags.socket_dir = dir;
-    }
-    std::string error;
-    IMDIFF_CHECK(net::ProbeSocketDir(flags.socket_dir, &error)) << error;
-    for (int64_t s = 0; s < flags.shards; ++s) {
-      const std::string path = ShardSocketPath(flags.socket_dir, s);
-      IMDIFF_CHECK(!net::PathExists(path))
-          << "stale socket (dead worker? remove it first):" << path;
-    }
-    if (flags.worker_bin.empty()) {
-      flags.worker_bin = DirName(argv[0]) + "/imdiff_worker";
-    }
-    IMDIFF_CHECK(FileExists(flags.worker_bin))
-        << "worker binary not found:" << flags.worker_bin;
-    // Workers load the model by checkpoint path; make sure one gets written.
-    if (flags.model_path.empty()) {
-      flags.model_path = flags.socket_dir + "/model.ckpt";
-    }
-  }
+  const ReplayFlags flags = ParseFlags(argc, argv);
 
   // Fail fast on unwritable output paths — a long replay must not end with
   // its results unrecordable.
@@ -910,9 +596,6 @@ int Main(int argc, char** argv) {
     options.refresh.fit_epochs = static_cast<int>(flags.refresh_epochs);
   }
 
-  if (flags.shards > 0) {
-    return RunShardedLoad(flags, stats, k);
-  }
   if (flags.zipf > 0.0) return RunZipfLoad(flags, std::move(model), options);
 
   std::printf(

@@ -1,7 +1,6 @@
 #include "eval/runner.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "baselines/beatgan.h"
@@ -18,6 +17,7 @@
 #include "metrics/add.h"
 #include "metrics/classification.h"
 #include "metrics/range_auc.h"
+#include "utils/flags.h"
 #include "utils/logging.h"
 #include "utils/metrics.h"
 #include "utils/stopwatch.h"
@@ -269,16 +269,21 @@ AggregateMetrics AverageAggregates(const std::vector<AggregateMetrics>& rows) {
 HarnessOptions ParseHarnessOptions(int argc, char** argv) {
   HarnessOptions options;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--seeds") == 0 && i + 1 < argc) {
-      options.num_seeds = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--scale") == 0 && i + 1 < argc) {
-      options.size_scale = static_cast<float>(std::atof(argv[++i]));
-    } else if (std::strcmp(argv[i], "--paper") == 0) {
+    const char* const flag = argv[i];
+    auto next = [&]() {
+      IMDIFF_CHECK(i + 1 < argc) << flag << "needs a value";
+      return argv[++i];
+    };
+    if (std::strcmp(flag, "--seeds") == 0) {
+      options.num_seeds = FlagValue<int>(flag, next());
+    } else if (std::strcmp(flag, "--scale") == 0) {
+      options.size_scale = FlagValue<float>(flag, next());
+    } else if (std::strcmp(flag, "--paper") == 0) {
       options.profile = SpeedProfile::kPaper;
-    } else if (std::strcmp(argv[i], "--dataset-seed") == 0 && i + 1 < argc) {
-      options.dataset_seed = static_cast<uint64_t>(std::atoll(argv[++i]));
-    } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
-      options.metrics_out = argv[++i];
+    } else if (std::strcmp(flag, "--dataset-seed") == 0) {
+      options.dataset_seed = FlagValue<uint64_t>(flag, next());
+    } else if (std::strcmp(flag, "--metrics-out") == 0) {
+      options.metrics_out = next();
     }
   }
   // Non-positive values would divide by zero downstream (EvaluateManySeeds

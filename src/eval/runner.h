@@ -83,7 +83,9 @@ AggregateMetrics EvaluateManySeeds(const std::string& detector_name,
 AggregateMetrics AverageAggregates(const std::vector<AggregateMetrics>& rows);
 
 // Shared bench-harness options parsed from argv: --seeds N --scale F --paper
-// --metrics-out PATH.
+// --dataset-seed S --metrics-out PATH. Values parse strictly (utils/flags.h)
+// and a flag missing its value aborts naming it; other arguments are left
+// to the harness.
 struct HarnessOptions {
   int num_seeds = 2;
   float size_scale = 0.5f;

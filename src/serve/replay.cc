@@ -6,15 +6,11 @@
 #include <thread>
 #include <utility>
 
-#include <cstring>
-
 #include "metrics/add.h"
 #include "metrics/classification.h"
 #include "metrics/range_auc.h"
 #include "serve/batcher.h"
-#include "serve/router.h"
 #include "utils/check.h"
-#include "utils/fault.h"
 #include "utils/metrics.h"
 #include "utils/rng.h"
 #include "utils/stopwatch.h"
@@ -72,8 +68,9 @@ ReplayStats ReplayThroughServer(std::shared_ptr<const ModelEntry> model,
     IMDIFF_CHECK_EQ(stream.samples.dim(1), k);
     max_length = std::max(max_length, stream.samples.dim(0));
     total_samples += stream.samples.dim(0);
-    stats.scores[stream.tenant] = std::vector<float>(
-        static_cast<size_t>(stream.samples.dim(0)), 0.0f);
+    const auto length = static_cast<size_t>(stream.samples.dim(0));
+    stats.scores[stream.tenant] = std::vector<float>(length, 0.0f);
+    stats.levels[stream.tenant] = std::vector<int>(length, 0);
   }
 
   std::mutex mu;
@@ -85,11 +82,13 @@ ReplayStats ReplayThroughServer(std::shared_ptr<const ModelEntry> model,
     auto it = stats.scores.find(scored.tenant);
     IMDIFF_CHECK(it != stats.scores.end());
     std::vector<float>& out = it->second;
+    std::vector<int>& levels = stats.levels[scored.tenant];
     for (size_t i = 0; i < scored.alert.scores.size(); ++i) {
       const int64_t pos =
           scored.alert.start + static_cast<int64_t>(i);
       if (pos < static_cast<int64_t>(out.size())) {
         out[static_cast<size_t>(pos)] = scored.alert.scores[i];
+        levels[static_cast<size_t>(pos)] = scored.degrade_level;
       }
     }
   };
@@ -473,172 +472,6 @@ AggregateMetrics EvaluateServedManySeeds(const MtsDataset& dataset,
     agg.add_std = std::sqrt(add_var / (n - 1.0));
   }
   return agg;
-}
-
-ShardedLoadStats ReplayLoadSharded(ShardRouter& router,
-                                   const ShardedLoadConfig& config,
-                                   int64_t num_features) {
-  const LoadConfig& load = config.load;
-  LoadPlan plan = BuildLoadPlan(load, num_features);
-  ShardedLoadStats stats;
-  stats.tenants = plan.tenants;
-
-  // Positional score assembly with conflict detection. A position is written
-  // once; a re-delivered block (shard-down recovery replays the journal, so
-  // the survivor re-emits blocks the dead shard already delivered) must
-  // match the original bitwise — anything else is a correctness failure.
-  struct Assembly {
-    std::vector<float> scores;
-    std::vector<uint8_t> written;
-  };
-  std::map<std::string, Assembly> assembly;
-  for (const auto& [t, stream] : plan.streams) {
-    const auto length = static_cast<size_t>(stream.samples.dim(0));
-    Assembly& a = assembly[LoadTenantName(t)];
-    a.scores.assign(length, 0.0f);
-    a.written.assign(length, 0);
-  }
-
-  std::mutex mu;
-  std::map<std::string, std::vector<double>> latencies;
-  router.set_on_block([&](int64_t, const net::ScoredBlockMsg& block) {
-    std::lock_guard<std::mutex> lock(mu);
-    ++stats.alerts;
-    if (block.degrade_level > 0) ++stats.degraded_alerts;
-    latencies[block.tenant].push_back(block.latency_seconds);
-    auto it = assembly.find(block.tenant);
-    if (it == assembly.end()) return;
-    Assembly& a = it->second;
-    bool fresh = false;
-    bool conflict = false;
-    for (size_t i = 0; i < block.scores.size(); ++i) {
-      const int64_t pos = block.start + static_cast<int64_t>(i);
-      if (pos < 0 || pos >= static_cast<int64_t>(a.scores.size())) continue;
-      const auto p = static_cast<size_t>(pos);
-      if (a.written[p]) {
-        if (std::memcmp(&a.scores[p], &block.scores[i], sizeof(float)) != 0) {
-          conflict = true;
-        }
-      } else {
-        a.scores[p] = block.scores[i];
-        a.written[p] = 1;
-        fresh = true;
-        ++stats.positions_written;
-      }
-    }
-    if (conflict) {
-      ++stats.score_conflicts;
-    } else if (!fresh && !block.scores.empty()) {
-      ++stats.duplicate_blocks;
-    }
-  });
-
-  const std::vector<int64_t> active = [&] {
-    std::vector<int64_t> ranks;
-    for (const auto& [t, stream] : plan.streams) ranks.push_back(t);
-    return ranks;
-  }();
-
-  Stopwatch timer;
-  std::vector<int64_t> cursor(static_cast<size_t>(load.num_tenants), 0);
-  std::vector<float> sample(static_cast<size_t>(num_features));
-  std::vector<uint8_t> observed;
-  ShardRouter::DrainTotals totals;
-  int64_t accepted = 0;
-  int64_t barriers = 0;
-  int64_t move_cursor = 0;
-  for (const LoadPlan::Burst& burst : plan.schedule) {
-    // Chaos hook: when "router.shard_down" is armed (e.g. spec
-    // router.shard_down:#300), the chosen burst boundary kills the first
-    // alive shard — a deterministic point in the submission sequence, so two
-    // same-seed chaos runs crash identically.
-    if (IMDIFF_FAULT("router.shard_down")) {
-      const std::vector<int64_t> alive = router.AliveShards();
-      if (alive.size() > 1) {
-        router.CrashShard(alive.front());
-        ++stats.crashes;
-      }
-    }
-    const UglyStream& stream = plan.streams.at(burst.tenant);
-    const std::string name = LoadTenantName(burst.tenant);
-    int64_t& pos = cursor[static_cast<size_t>(burst.tenant)];
-    for (int64_t j = 0; j < burst.length; ++j, ++pos) {
-      std::copy_n(stream.samples.data() + pos * num_features, num_features,
-                  sample.begin());
-      observed.clear();
-      if (plan.any_missing) {
-        observed.assign(stream.observed.begin() + pos * num_features,
-                        stream.observed.begin() + (pos + 1) * num_features);
-      }
-      ++stats.submitted;
-      IMDIFF_CHECK(router.Submit(name, sample, observed))
-          << "router lost every shard: " << router.error();
-      ++accepted;
-      if (load.drain_every > 0 && accepted % load.drain_every == 0) {
-        IMDIFF_CHECK(router.DrainAll(&totals)) << router.error();
-        ++barriers;
-        if (config.reshard_every > 0 &&
-            barriers % config.reshard_every == 0 && !active.empty()) {
-          // Round-robin live resharding: rotate through the active tenants,
-          // moving each to the next alive shard after its current one.
-          for (int64_t m = 0; m < config.reshard_tenants; ++m) {
-            const int64_t rank =
-                active[static_cast<size_t>(move_cursor %
-                                           static_cast<int64_t>(
-                                               active.size()))];
-            ++move_cursor;
-            const std::string mover = LoadTenantName(rank);
-            const std::vector<int64_t> alive = router.AliveShards();
-            if (alive.size() < 2) break;
-            const int64_t current = router.ShardOf(mover);
-            size_t idx = 0;
-            for (size_t s = 0; s < alive.size(); ++s) {
-              if (alive[s] == current) idx = s;
-            }
-            const int64_t target = alive[(idx + 1) % alive.size()];
-            IMDIFF_CHECK(router.MoveTenant(mover, target))
-                << router.error();
-            ++stats.moves;
-          }
-        }
-      }
-    }
-  }
-  IMDIFF_CHECK(router.DrainAll(&totals)) << router.error();
-  stats.seconds = timer.ElapsedSeconds();
-  stats.points_per_second =
-      stats.seconds > 0.0
-          ? static_cast<double>(load.total_samples) / stats.seconds
-          : 0.0;
-  stats.accepted = totals.accepted;
-  stats.shed = totals.shed;
-  stats.degraded_blocks = totals.degraded_blocks;
-  stats.promotions = totals.promotions;
-  stats.shadow_blocks = totals.shadow_blocks;
-  // The final barrier flushed every worker and its reader delivered every
-  // scored block before the drain result (same FIFO connection), so the
-  // callback is quiescent and safe to detach.
-  router.set_on_block(nullptr);
-
-  std::vector<double> p50s;
-  std::vector<double> p99s;
-  p50s.reserve(latencies.size());
-  p99s.reserve(latencies.size());
-  for (auto& [tenant, values] : latencies) {
-    std::sort(values.begin(), values.end());
-    p50s.push_back(SortedPercentile(values, 0.5));
-    p99s.push_back(SortedPercentile(values, 0.99));
-  }
-  stats.tenant_p50 = SpreadOf(std::move(p50s));
-  stats.tenant_p99 = SpreadOf(std::move(p99s));
-  stats.peak_rss_kb = ProcessPeakRssKb();
-
-  if (load.collect_scores) {
-    for (auto& [tenant, a] : assembly) {
-      stats.scores.emplace(tenant, std::move(a.scores));
-    }
-  }
-  return stats;
 }
 
 }  // namespace serve

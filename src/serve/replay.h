@@ -47,6 +47,9 @@ std::vector<float> ReplaySerial(const ModelEntry& model,
 struct ReplayStats {
   // Assembled per-tenant score streams (length L each).
   std::map<std::string, std::vector<float>> scores;
+  // The degradation level each position was scored at (same shape as
+  // `scores`): the reference for a position is ReplaySerial at its level.
+  std::map<std::string, std::vector<int>> levels;
   int64_t submitted = 0;
   int64_t rejected = 0;  // backpressure rejections (samples were retried)
   int64_t alerts = 0;
@@ -178,15 +181,10 @@ LoadStats ReplayLoad(std::shared_ptr<const ModelEntry> model,
                      const LoadConfig& config,
                      const StreamServer::Options& options);
 
-// ---------------------------------------------------------------------------
-// Sharded load replay (DESIGN.md §16): the same deterministic workload
-// driven through a ShardRouter over N worker processes.
-
 // The materialized workload: burst schedule plus every active tenant's ugly
 // stream. A pure function of (config, num_features) with the exact RNG draw
-// order ReplayLoad has always used, so plans built for the single-process
-// and sharded paths are identical — the precondition for comparing their
-// score dumps bitwise.
+// order ReplayLoad uses, so a caller that builds the plan itself (a cut
+// schedule, a training corpus) replays exactly ReplayLoad's traffic.
 struct LoadPlan {
   struct Burst {
     int64_t tenant = 0;
@@ -200,60 +198,9 @@ struct LoadPlan {
 };
 LoadPlan BuildLoadPlan(const LoadConfig& config, int64_t num_features);
 
-// Canonical tenant name for rank `t` ("tenant-000042") — shared by both
-// replay paths and the score-dump format.
+// Canonical tenant name for rank `t` ("tenant-000042") — shared by
+// ReplayLoad and the score-dump format.
 std::string LoadTenantName(int64_t tenant);
-
-struct ShardedLoadConfig {
-  LoadConfig load;
-  // Live resharding cadence: after every `reshard_every`-th drain barrier
-  // (0 = never), move `reshard_tenants` active tenants to the next alive
-  // shard (round-robin over tenant ranks — deterministic).
-  int64_t reshard_every = 0;
-  int64_t reshard_tenants = 1;
-};
-
-struct ShardedLoadStats {
-  int64_t tenants = 0;
-  int64_t submitted = 0;
-  int64_t alerts = 0;          // scored blocks delivered (incl. duplicates)
-  int64_t degraded_alerts = 0;
-  // Positional score assembly: every position written once; a re-delivered
-  // block (shard-down recovery replay) must match the first delivery
-  // bitwise. Conflicts are the hard failure --fail-on-shed trips on.
-  int64_t positions_written = 0;
-  int64_t duplicate_blocks = 0;
-  int64_t score_conflicts = 0;
-  // From the final drain barrier (cumulative over surviving workers).
-  int64_t accepted = 0;
-  int64_t shed = 0;
-  int64_t degraded_blocks = 0;
-  // Continuous-refresh activity summed over surviving workers (each shard
-  // runs its own refresh loop on its own tenants).
-  int64_t promotions = 0;
-  int64_t shadow_blocks = 0;
-  // Chaos / resharding activity during the run.
-  int64_t moves = 0;
-  int64_t crashes = 0;
-  double seconds = 0.0;
-  double points_per_second = 0.0;
-  LoadStats::Spread tenant_p50;
-  LoadStats::Spread tenant_p99;
-  int64_t peak_rss_kb = -1;
-  // Per-tenant score streams (only when LoadConfig::collect_scores).
-  std::map<std::string, std::vector<float>> scores;
-};
-
-class ShardRouter;  // serve/router.h
-
-// Replays the planned workload through `router` (already connected and
-// published). Drains on the accepted-sample cadence (config.load.drain_every)
-// like ReplayLoad; fires the "router.shard_down" fault point once per burst,
-// crashing the first alive shard when armed; moves tenants per the reshard
-// cadence. Scores are assembled positionally with conflict detection.
-ShardedLoadStats ReplayLoadSharded(ShardRouter& router,
-                                   const ShardedLoadConfig& config,
-                                   int64_t num_features);
 
 }  // namespace serve
 }  // namespace imdiff

@@ -129,8 +129,9 @@ void StreamServer::WorkerLoop(Shard* shard) {
 
     BlockRequest block;
     if (sessions_.Append(request.tenant, request.sample, request.observed,
-                         &block)) {
-      block.degrade_level = ChooseRung(wait_seconds, block);
+                         &block, [&](const BlockRequest& ready) {
+                           return ChooseRung(wait_seconds, ready);
+                         })) {
       if (block.degrade_level > 0) degraded_blocks_->Increment();
       // Continuous refresh (DESIGN.md §18): while a shadow is staged, a
       // seeded fraction of full-quality blocks is dual-scored against it.

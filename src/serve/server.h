@@ -87,7 +87,7 @@ class StreamServer {
     // Shadow dual-score result (continuous refresh, DESIGN.md §18): scored
     // against the staged candidate, delivered for observability only.
     // Consumers must not treat it as an alert; it is excluded from the
-    // alert-latency metric and never forwarded across shard transports.
+    // alert-latency metric.
     bool shadow = false;
   };
   // Runs on a batcher/worker thread; must be thread-safe and non-blocking
@@ -166,7 +166,8 @@ class StreamServer {
   // based when the deadline policy is on; when the "serve.deadline" fault
   // point is armed, the level instead derives deterministically from the
   // fault seed and the block's (session seed, block index) — chaos runs
-  // need reproducible degradation placement.
+  // need reproducible degradation placement. Runs inside
+  // SessionManager::Append, before the block's cache lookup.
   int ChooseRung(double queue_wait_seconds, const BlockRequest& block) const;
 
   const Options options_;

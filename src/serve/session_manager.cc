@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/wire.h"
 #include "utils/check.h"
 #include "utils/fault.h"
 #include "utils/metrics.h"
@@ -152,7 +151,8 @@ bool SessionManager::Append(const std::string& tenant,
 bool SessionManager::Append(const std::string& tenant,
                             const std::vector<float>& sample,
                             const std::vector<uint8_t>& observed,
-                            BlockRequest* request) {
+                            BlockRequest* request,
+                            const RungChooser& choose_rung) {
   IMDIFF_CHECK(request != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   Session& session = GetOrCreateLocked(tenant);
@@ -191,13 +191,14 @@ bool SessionManager::Append(const std::string& tenant,
   request->plan = PlanBlock(*model_->detector, session.seed, ready);
   request->ready = std::move(ready);
   request->ready_time = std::chrono::steady_clock::now();
+  request->degrade_level = choose_rung ? choose_rung(*request) : 0;
 
   const size_t num_windows = request->plan.seeds.size();
   request->scores.assign(num_windows, {});
   request->hit.assign(num_windows, 0);
   MetricsRegistry& registry = MetricsRegistry::Global();
   int64_t hits = 0;
-  if (options_.cache_window_scores) {
+  if (options_.cache_window_scores && request->degrade_level == 0) {
     for (size_t i = 0; i < num_windows; ++i) {
       const int64_t key = request->plan.cache_keys[i];
       if (key < 0) continue;
@@ -350,158 +351,6 @@ int64_t SessionManager::stashed_sessions() const {
 int64_t SessionManager::pending_blocks() const {
   std::lock_guard<std::mutex> lock(mu_);
   return pending_total_;
-}
-
-namespace {
-
-// Bump on any layout change: a version mismatch fails the decode cleanly
-// instead of misreading a foreign process's bytes. v2 appended the tenant's
-// refresh-window samples (continuous refresh, DESIGN.md §18).
-constexpr uint8_t kSessionWireVersion = 2;
-
-}  // namespace
-
-std::vector<uint8_t> SerializeSession(const SessionSnapshot& snapshot) {
-  net::WireWriter w;
-  w.U8(kSessionWireVersion);
-  w.I64(snapshot.blocks);
-  w.I64(snapshot.state.num_features);
-  w.I64(snapshot.state.total_samples);
-  w.I64(snapshot.state.pending);
-  w.FloatVec(snapshot.state.stats.min);
-  w.FloatVec(snapshot.state.stats.max);
-  w.U32(static_cast<uint32_t>(snapshot.state.buffer.size()));
-  for (const std::vector<float>& row : snapshot.state.buffer) w.FloatVec(row);
-  w.FloatVec(snapshot.state.fill);
-  w.U32(static_cast<uint32_t>(snapshot.refresh_recent.size()));
-  for (const std::vector<float>& row : snapshot.refresh_recent) w.FloatVec(row);
-  return w.Take();
-}
-
-bool DeserializeSession(const std::vector<uint8_t>& bytes,
-                        SessionSnapshot* out) {
-  IMDIFF_CHECK(out != nullptr);
-  net::WireReader r(bytes);
-  uint8_t version = 0;
-  if (!r.U8(&version) || version != kSessionWireVersion) return false;
-  r.I64(&out->blocks);
-  r.I64(&out->state.num_features);
-  r.I64(&out->state.total_samples);
-  r.I64(&out->state.pending);
-  r.FloatVec(&out->state.stats.min);
-  r.FloatVec(&out->state.stats.max);
-  uint32_t rows = 0;
-  r.U32(&rows);
-  out->state.buffer.clear();
-  for (uint32_t i = 0; i < rows && r.ok(); ++i) {
-    std::vector<float> row;
-    if (!r.FloatVec(&row)) return false;
-    out->state.buffer.push_back(std::move(row));
-  }
-  r.FloatVec(&out->state.fill);
-  uint32_t refresh_rows = 0;
-  r.U32(&refresh_rows);
-  out->refresh_recent.clear();
-  for (uint32_t i = 0; i < refresh_rows && r.ok(); ++i) {
-    std::vector<float> row;
-    if (!r.FloatVec(&row)) return false;
-    out->refresh_recent.push_back(std::move(row));
-  }
-  return r.ok() && r.remaining() == 0 &&
-         out->state.buffer.size() == rows &&
-         out->refresh_recent.size() == refresh_rows;
-}
-
-bool SessionManager::SnapshotSession(const std::string& tenant,
-                                     SessionSnapshot* out) const {
-  IMDIFF_CHECK(out != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto resident = sessions_.find(tenant);
-  if (resident != sessions_.end()) {
-    if (resident->second.pending > 0) return false;  // drain first
-    out->state = resident->second.online.ExportState();
-    out->blocks = resident->second.blocks;
-    out->refresh_recent.assign(resident->second.refresh_recent.begin(),
-                               resident->second.refresh_recent.end());
-    return true;
-  }
-  auto stashed = stash_.find(tenant);
-  if (stashed == stash_.end()) return false;
-  out->state = stashed->second.state;
-  out->blocks = stashed->second.blocks;
-  out->refresh_recent.assign(stashed->second.refresh_recent.begin(),
-                             stashed->second.refresh_recent.end());
-  return true;
-}
-
-bool SessionManager::ExportSession(const std::string& tenant,
-                                   SessionSnapshot* out) {
-  IMDIFF_CHECK(out != nullptr);
-  std::lock_guard<std::mutex> lock(mu_);
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  auto resident = sessions_.find(tenant);
-  if (resident != sessions_.end()) {
-    if (resident->second.pending > 0) return false;
-    out->state = resident->second.online.ExportState();
-    out->blocks = resident->second.blocks;
-    out->refresh_recent.assign(resident->second.refresh_recent.begin(),
-                               resident->second.refresh_recent.end());
-    sessions_.erase(resident);
-    registry.GetCounter("serve.sessions_exported")->Increment();
-    return true;
-  }
-  auto stashed = stash_.find(tenant);
-  if (stashed == stash_.end()) return false;
-  out->state = std::move(stashed->second.state);
-  out->blocks = stashed->second.blocks;
-  out->refresh_recent.assign(stashed->second.refresh_recent.begin(),
-                             stashed->second.refresh_recent.end());
-  stash_.erase(stashed);
-  registry.GetCounter("serve.sessions_exported")->Increment();
-  registry.GetGauge("serve.stash_size")
-      ->Set(static_cast<double>(stash_.size()));
-  return true;
-}
-
-void SessionManager::ImportSession(const std::string& tenant,
-                                   const SessionSnapshot& snapshot) {
-  std::lock_guard<std::mutex> lock(mu_);
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  // Replace wholesale: a move or a recovery rehydrate supersedes whatever
-  // partial state this shard held for the tenant.
-  auto resident = sessions_.find(tenant);
-  if (resident != sessions_.end()) {
-    IMDIFF_CHECK_EQ(resident->second.pending, 0)
-        << "session imported over a block in flight:" << tenant;
-    sessions_.erase(resident);
-  }
-  Stash stash;
-  stash.state = snapshot.state;
-  stash.blocks = snapshot.blocks;
-  stash.refresh_recent.assign(snapshot.refresh_recent.begin(),
-                              snapshot.refresh_recent.end());
-  stash.tick = ++tick_;  // newest: an over-cap drop evicts older stashes
-  stash_[tenant] = std::move(stash);
-  registry.GetCounter("serve.sessions_imported")->Increment();
-  while (static_cast<int64_t>(stash_.size()) > options_.max_stashed) {
-    auto drop = stash_.begin();
-    for (auto it = stash_.begin(); it != stash_.end(); ++it) {
-      if (it->second.tick < drop->second.tick) drop = it;
-    }
-    stash_.erase(drop);
-    registry.GetCounter("serve.stash_evictions")->Increment();
-  }
-  registry.GetGauge("serve.stash_size")
-      ->Set(static_cast<double>(stash_.size()));
-}
-
-std::vector<std::string> SessionManager::Tenants() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> tenants;
-  tenants.reserve(sessions_.size() + stash_.size());
-  for (const auto& [tenant, session] : sessions_) tenants.push_back(tenant);
-  for (const auto& [tenant, stash] : stash_) tenants.push_back(tenant);
-  return tenants;
 }
 
 int64_t SessionManager::cached_window_scores() const {

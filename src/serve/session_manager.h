@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -83,8 +84,9 @@ struct BlockRequest {
   std::shared_ptr<const ModelEntry> model;
   // Degradation level chosen by the server's deadline policy (DESIGN.md §13):
   // 0 scores the full reverse chain; > 0 truncates it (see
-  // ImDiffusionDetector::ChainStartForDegradeLevel). Degraded fresh scores
-  // are delivered but never written back to the window-score cache.
+  // ImDiffusionDetector::ChainStartForDegradeLevel). The cache holds level-0
+  // scores only: a degraded block neither takes cached scores nor writes its
+  // own back, so every window of it scores at its level.
   int degrade_level = 0;
   // Shadow dual-score request (continuous refresh, DESIGN.md §18): the block
   // is scored against the staged shadow model for drift statistics only.
@@ -93,29 +95,6 @@ struct BlockRequest {
   // cache (the cache belongs to the live version).
   bool shadow = false;
 };
-
-// Cross-process session state (DESIGN.md §16): everything needed to continue
-// a tenant bitwise-identically in another process that shares the same
-// published model — the OnlineDetector streaming state (normalization,
-// rolling buffer, stream counters, carry-forward fill) plus the per-session
-// block ordinal. The window-score cache deliberately does NOT travel: cached
-// scores are bitwise interchangeable with recomputed ones, so dropping the
-// cache across a move costs recomputation, never correctness.
-struct SessionSnapshot {
-  OnlineDetector::State state;
-  int64_t blocks = 0;
-  // The tenant's sampled recent raw samples for refresh fits (oldest first);
-  // travels with the session so resharding moves and crash recovery keep the
-  // refresh window's content intact (DESIGN.md §18).
-  std::vector<std::vector<float>> refresh_recent;
-};
-
-// Byte round-trip of a snapshot in the net wire format — what the shard
-// transport ships for resharding moves and crash recovery. Deserialize
-// returns false on truncated or corrupt input (never aborts).
-std::vector<uint8_t> SerializeSession(const SessionSnapshot& snapshot);
-bool DeserializeSession(const std::vector<uint8_t>& bytes,
-                        SessionSnapshot* out);
 
 class SessionManager {
  public:
@@ -164,11 +143,17 @@ class SessionManager {
   bool Append(const std::string& tenant, const std::vector<float>& sample,
               BlockRequest* request);
 
+  // Picks a ready block's degradation level from its planned request. Append
+  // calls it before the cache lookup, so the lookup runs only at level 0.
+  using RungChooser = std::function<int(const BlockRequest&)>;
+
   // Missing-aware variant: `observed` flags are forwarded to the session's
   // OnlineDetector (carry-forward fill; see core/online_detector.h). Empty
-  // means fully observed.
+  // means fully observed. `choose_rung` (null: level 0) sets the ready
+  // block's degrade_level.
   bool Append(const std::string& tenant, const std::vector<float>& sample,
-              const std::vector<uint8_t>& observed, BlockRequest* request);
+              const std::vector<uint8_t>& observed, BlockRequest* request,
+              const RungChooser& choose_rung = nullptr);
 
   // Batcher write-back: stores freshly computed window scores in the
   // session's cache and releases the in-flight hold.
@@ -201,27 +186,6 @@ class SessionManager {
   // caches are invalidated (scores from different versions must not mix).
   void SwapModel(std::shared_ptr<const ModelEntry> model);
   std::shared_ptr<const ModelEntry> model() const;
-
-  // Non-destructive copy of `tenant`'s streaming state, resident or stashed.
-  // False when the tenant is unknown here or has a block in flight — callers
-  // drain first (the router snapshots only at drain barriers).
-  bool SnapshotSession(const std::string& tenant, SessionSnapshot* out) const;
-
-  // Destructive export for a resharding move: on success the session (or
-  // stash) is removed, so a stray later sample for the tenant would start a
-  // fresh session. Same preconditions as SnapshotSession.
-  bool ExportSession(const std::string& tenant, SessionSnapshot* out);
-
-  // Injects a snapshot as stashed state; the tenant's next Append rehydrates
-  // it through the existing eviction machinery, continuing bitwise
-  // identically. Replaces any resident or stashed state for the tenant. The
-  // stash cap still applies (the imported entry is newest, so an over-cap
-  // drop takes the least recently evicted stash instead).
-  void ImportSession(const std::string& tenant,
-                     const SessionSnapshot& snapshot);
-
-  // Every tenant with live state here (resident + stashed).
-  std::vector<std::string> Tenants() const;
 
   int64_t resident_sessions() const;
   int64_t stashed_sessions() const;

@@ -1,10 +1,12 @@
 #include "utils/csv.h"
 
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "utils/check.h"
+#include "utils/flags.h"
 
 namespace imdiff {
 
@@ -22,17 +24,24 @@ std::vector<std::vector<float>> ReadCsv(const std::string& path,
   IMDIFF_CHECK(in.good()) << "cannot open" << path;
   std::vector<std::vector<float>> rows;
   std::string line;
-  bool first = true;
+  int64_t line_number = 0;
   while (std::getline(in, line)) {
-    if (first && skip_header) {
-      first = false;
-      continue;
-    }
-    first = false;
+    ++line_number;
+    if (line_number == 1 && skip_header) continue;
+    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF files
     if (line.empty()) continue;
-    std::vector<float> row;
-    for (const std::string& cell : SplitCsvLine(line)) {
-      row.push_back(static_cast<float>(std::atof(cell.c_str())));
+    const std::vector<std::string> cells = SplitCsvLine(line);
+    std::vector<float> row(cells.size());
+    for (size_t c = 0; c < cells.size(); ++c) {
+      std::string_view cell = cells[c];
+      const size_t first = cell.find_first_not_of(" \t");
+      cell = first == std::string_view::npos
+                 ? std::string_view()
+                 : cell.substr(first, cell.find_last_not_of(" \t") + 1 - first);
+      IMDIFF_CHECK(ParseNumber(cell, &row[c]))
+          << path + ":" + std::to_string(line_number) + ":" +
+                 std::to_string(c + 1)
+          << "is not a number: '" + cells[c] + "'";
     }
     rows.push_back(std::move(row));
   }

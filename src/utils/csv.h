@@ -10,7 +10,8 @@
 namespace imdiff {
 
 // Parses a CSV file of floats into rows. `skip_header` drops the first line.
-// Aborts on unreadable files; malformed cells parse as 0.
+// Aborts on an unreadable file, and on a cell that is not one number (empty,
+// text, trailing junk), naming path:line:column.
 std::vector<std::vector<float>> ReadCsv(const std::string& path,
                                         bool skip_header);
 

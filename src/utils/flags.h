@@ -4,15 +4,17 @@
 // overflowing value saturates or is undefined. FlagValue<T> instead requires
 // the whole string to be a number that fits T (finite, for floating point)
 // and otherwise aborts naming the flag, like any other IMDIFF_CHECK failure.
+// ParseNumber<T> is the same whole-string test without the abort, for
+// callers that report their own context (CSV cells name path, line, column).
 
 #ifndef IMDIFF_UTILS_FLAGS_H_
 #define IMDIFF_UTILS_FLAGS_H_
 
 #include <charconv>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 
@@ -20,12 +22,20 @@
 
 namespace imdiff {
 
+// True when all of `text` is one number that fits T (std::from_chars: no
+// leading whitespace or '+', nothing after the number). On false `*out` is
+// unspecified.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const std::from_chars_result r = std::from_chars(text.data(), end, *out);
+  return r.ec == std::errc() && r.ptr == end;
+}
+
 template <typename T>
 T FlagValue(const char* flag, const char* value) {
   T v{};
-  const char* end = value + std::strlen(value);
-  const std::from_chars_result r = std::from_chars(value, end, v);
-  bool ok = r.ec == std::errc() && r.ptr == end;
+  bool ok = ParseNumber(std::string_view(value), &v);
   std::string wanted = "a finite number";
   if constexpr (std::is_integral_v<T>) {
     wanted = "an integer in [" +
@@ -36,18 +46,6 @@ T FlagValue(const char* flag, const char* value) {
   }
   IMDIFF_CHECK(ok) << flag << "wants" << wanted + ", got '" + value + "'";
   return v;
-}
-
-// The shortest decimal text that FlagValue<T> parses back to exactly `v`
-// (std::to_chars), for handing a parsed flag on to a child process.
-// std::to_string formats floating point with "%f", so a forwarded 1e-7 would
-// arrive as "0.000000".
-template <typename T>
-std::string FormatFlag(T v) {
-  char buf[64];
-  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
-  IMDIFF_CHECK(r.ec == std::errc()) << "cannot format flag value";
-  return std::string(buf, r.ptr);
 }
 
 }  // namespace imdiff

@@ -7,12 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <sstream>
-#include <utility>
 #include <vector>
 
 namespace imdiff {
@@ -243,281 +240,6 @@ bool WriteMetricsJson(const std::string& path) {
   out << MetricsToJson();
   out.flush();
   return out.good();
-}
-
-namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader for MergeMetricsJson. It parses exactly the dialect
-// MetricsToJson emits (objects, arrays, strings with the four escapes
-// EscapeJson produces, and strtod numbers) and fails soft: any syntax error
-// makes Parse return false and the caller skips that snapshot.
-
-struct JsonValue {
-  enum class Kind { kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNumber;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;                          // kArray
-  std::vector<std::pair<std::string, JsonValue>> fields;  // kObject
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  JsonParser(const char* begin, const char* end) : p_(begin), end_(end) {}
-
-  bool Parse(JsonValue* out) {
-    if (!ParseValue(out)) return false;
-    SkipSpace();
-    return p_ == end_;
-  }
-
- private:
-  void SkipSpace() {
-    while (p_ != end_ && (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' ||
-                          *p_ == '\r')) {
-      ++p_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (p_ == end_ || *p_ != c) return false;
-    ++p_;
-    return true;
-  }
-
-  bool ParseString(std::string* out) {
-    if (!Consume('"')) return false;
-    out->clear();
-    while (p_ != end_ && *p_ != '"') {
-      char c = *p_++;
-      if (c == '\\') {
-        if (p_ == end_) return false;
-        const char esc = *p_++;
-        switch (esc) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          default: return false;  // not a sequence EscapeJson emits
-        }
-      }
-      out->push_back(c);
-    }
-    return p_ != end_ && *p_++ == '"';
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (p_ == end_) return false;
-    if (*p_ == '{') {
-      ++p_;
-      out->kind = JsonValue::Kind::kObject;
-      SkipSpace();
-      if (p_ != end_ && *p_ == '}') {
-        ++p_;
-        return true;
-      }
-      while (true) {
-        std::string key;
-        JsonValue value;
-        if (!ParseString(&key) || !Consume(':') || !ParseValue(&value)) {
-          return false;
-        }
-        out->fields.emplace_back(std::move(key), std::move(value));
-        SkipSpace();
-        if (p_ == end_) return false;
-        if (*p_ == ',') {
-          ++p_;
-          continue;
-        }
-        return *p_++ == '}';
-      }
-    }
-    if (*p_ == '[') {
-      ++p_;
-      out->kind = JsonValue::Kind::kArray;
-      SkipSpace();
-      if (p_ != end_ && *p_ == ']') {
-        ++p_;
-        return true;
-      }
-      while (true) {
-        JsonValue item;
-        if (!ParseValue(&item)) return false;
-        out->items.push_back(std::move(item));
-        SkipSpace();
-        if (p_ == end_) return false;
-        if (*p_ == ',') {
-          ++p_;
-          continue;
-        }
-        return *p_++ == ']';
-      }
-    }
-    if (*p_ == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return ParseString(&out->str);
-    }
-    char* num_end = nullptr;
-    out->kind = JsonValue::Kind::kNumber;
-    out->number = std::strtod(p_, &num_end);
-    if (num_end == p_ || num_end > end_) return false;
-    p_ = num_end;
-    return true;
-  }
-
-  const char* p_;
-  const char* end_;
-};
-
-// One histogram being merged across snapshots. Buckets are keyed by their
-// numeric upper bound (+inf for the tail bucket) and remember the exact
-// string the source emitted so the merged output round-trips byte-stable.
-struct MergedHistogram {
-  int64_t count = 0;
-  double sum = 0.0;
-  double min = std::numeric_limits<double>::infinity();
-  double max = -std::numeric_limits<double>::infinity();
-  std::map<double, std::pair<std::string, int64_t>> buckets;
-
-  // Histogram::Percentile over the merged buckets: nearest-rank bucket scan
-  // with the estimate clamped into the observed [min, max].
-  double Percentile(double q) const {
-    if (count <= 0) return 0.0;
-    if (q <= 0.0) return min;
-    if (q > 1.0) q = 1.0;
-    const int64_t rank = std::max<int64_t>(
-        1, static_cast<int64_t>(std::ceil(q * static_cast<double>(count))));
-    int64_t cumulative = 0;
-    for (const auto& [bound, bucket] : buckets) {
-      cumulative += bucket.second;
-      if (cumulative >= rank) return std::max(min, std::min(bound, max));
-    }
-    return max;
-  }
-};
-
-double NumberField(const JsonValue& obj, const std::string& key) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number : 0.0;
-}
-
-}  // namespace
-
-std::string MergeMetricsJson(const std::vector<std::string>& snapshots) {
-  std::map<std::string, int64_t> counters;
-  std::map<std::string, double> gauges;
-  std::map<std::string, MergedHistogram> histograms;
-
-  for (const std::string& snapshot : snapshots) {
-    JsonValue root;
-    JsonParser parser(snapshot.data(), snapshot.data() + snapshot.size());
-    if (!parser.Parse(&root) || root.kind != JsonValue::Kind::kObject) {
-      MetricsRegistry::Global().GetCounter("merge.parse_failures")->Increment();
-      continue;
-    }
-    if (const JsonValue* cs = root.Find("counters")) {
-      for (const auto& [name, v] : cs->fields) {
-        if (v.kind != JsonValue::Kind::kNumber) continue;
-        counters[name] += static_cast<int64_t>(v.number);
-      }
-    }
-    if (const JsonValue* gs = root.Find("gauges")) {
-      for (const auto& [name, v] : gs->fields) {
-        if (v.kind != JsonValue::Kind::kNumber) continue;
-        auto [it, inserted] = gauges.emplace(name, v.number);
-        if (!inserted) it->second = std::max(it->second, v.number);
-      }
-    }
-    if (const JsonValue* hs = root.Find("histograms")) {
-      for (const auto& [name, v] : hs->fields) {
-        if (v.kind != JsonValue::Kind::kObject) continue;
-        MergedHistogram& merged = histograms[name];
-        const auto count = static_cast<int64_t>(NumberField(v, "count"));
-        merged.count += count;
-        merged.sum += NumberField(v, "sum");
-        if (count > 0) {
-          // An empty histogram reports min/max as 0 — placeholders, not
-          // observations; folding them in would fake a 0-second sample.
-          merged.min = std::min(merged.min, NumberField(v, "min"));
-          merged.max = std::max(merged.max, NumberField(v, "max"));
-        }
-        const JsonValue* buckets = v.Find("buckets");
-        if (buckets == nullptr ||
-            buckets->kind != JsonValue::Kind::kArray) {
-          continue;
-        }
-        for (const JsonValue& bucket : buckets->items) {
-          if (bucket.kind != JsonValue::Kind::kObject) continue;
-          const JsonValue* le = bucket.Find("le");
-          if (le == nullptr) continue;
-          const bool inf = le->kind == JsonValue::Kind::kString;
-          const double bound =
-              inf ? std::numeric_limits<double>::infinity() : le->number;
-          const std::string text =
-              inf ? "\"inf\"" : FormatDouble(le->number);
-          auto& slot = merged.buckets[bound];
-          if (slot.first.empty()) slot.first = text;
-          slot.second += static_cast<int64_t>(NumberField(bucket, "count"));
-        }
-      }
-    }
-  }
-
-  // Emit in the MetricsToJson layout so downstream consumers (the CI
-  // assertion scripts, WriteMetricsJson readers) need no second schema.
-  std::ostringstream out;
-  out << "{\n  \"counters\": {";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    out << (first ? "\n" : ",\n") << "    \"" << EscapeJson(name)
-        << "\": " << value;
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    out << (first ? "\n" : ",\n") << "    \"" << EscapeJson(name)
-        << "\": " << FormatDouble(value);
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    const double min = h.count > 0 ? h.min : 0.0;
-    const double max = h.count > 0 ? h.max : 0.0;
-    const double mean =
-        h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0;
-    out << (first ? "\n" : ",\n") << "    \"" << EscapeJson(name) << "\": {"
-        << "\"count\": " << h.count << ", \"sum\": " << FormatDouble(h.sum)
-        << ", \"min\": " << FormatDouble(min)
-        << ", \"max\": " << FormatDouble(max)
-        << ", \"mean\": " << FormatDouble(mean)
-        << ", \"p50\": " << FormatDouble(h.Percentile(0.5))
-        << ", \"p90\": " << FormatDouble(h.Percentile(0.9))
-        << ", \"p99\": " << FormatDouble(h.Percentile(0.99))
-        << ", \"buckets\": [";
-    bool first_bucket = true;
-    for (const auto& [bound, bucket] : h.buckets) {
-      if (bucket.second == 0) continue;
-      out << (first_bucket ? "" : ", ") << "{\"le\": " << bucket.first
-          << ", \"count\": " << bucket.second << "}";
-      first_bucket = false;
-    }
-    out << "]}";
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "}\n}\n";
-  return out.str();
 }
 
 bool ProbeWritable(const std::string& path) {

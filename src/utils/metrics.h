@@ -148,17 +148,6 @@ std::string MetricsToJson();
 // Writes MetricsToJson() to `path`. Returns false on IO failure.
 bool WriteMetricsJson(const std::string& path);
 
-// Merges per-process MetricsToJson() snapshots into one snapshot in the same
-// schema: counters sum, gauges take the maximum, histograms merge bucket-wise
-// (per-bound counts and the count/sum add, min/max combine, mean and
-// p50/p90/p99 are recomputed from the merged buckets with the same
-// clamped-bucket-bound estimator Histogram::Percentile uses). This is how
-// the shard router folds N worker snapshots into one report — per-process
-// snapshots are otherwise incomparable. A snapshot that fails to parse is
-// skipped and counted in the merge.parse_failures counter of the *local*
-// registry.
-std::string MergeMetricsJson(const std::vector<std::string>& snapshots);
-
 // Checks at startup that `path` will be writable at shutdown: opens it in
 // append mode (preserving existing content) and, when the probe itself
 // created the file, removes it again. Lets tools with --metrics-out /

@@ -8,7 +8,9 @@
 #include <thread>
 #include <utility>
 
+#include "utils/check.h"
 #include "utils/fault.h"
+#include "utils/flags.h"
 #include "utils/metrics.h"
 
 namespace imdiff {
@@ -208,8 +210,9 @@ bool compute_pool_init = false;
 
 size_t DefaultComputeThreads() {
   if (const char* env = std::getenv("IMDIFF_NUM_THREADS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<size_t>(v);
+    const auto v = FlagValue<int64_t>("IMDIFF_NUM_THREADS", env);
+    IMDIFF_CHECK_GE(v, 1) << "IMDIFF_NUM_THREADS must be at least 1";
+    return static_cast<size_t>(v);
   }
   const size_t hw = std::thread::hardware_concurrency();
   return hw == 0 ? 4 : hw;

@@ -94,7 +94,8 @@ void ParallelForRange(ThreadPool* pool, size_t n, size_t grain,
 
 // Process-wide compute pool shared by the tensor kernels and the evaluation
 // harness. Thread count comes from IMDIFF_NUM_THREADS (default:
-// hardware_concurrency). Returns nullptr when the count is 1 — the exact
+// hardware_concurrency); a value that is not a whole positive integer aborts
+// naming the variable. Returns nullptr when the count is 1 — the exact
 // serial configuration — so every ParallelFor runs inline.
 ThreadPool* ComputePool();
 

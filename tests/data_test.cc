@@ -1,4 +1,7 @@
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -238,6 +241,34 @@ TEST(CsvTest, WriteReadRoundTrip) {
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0][1], 2.5f);
   EXPECT_EQ(rows[1][0], 3.0f);
+}
+
+// A cell that is not one number is an error naming path:line:column, never
+// a silent 0 (what atof made of "abc", "" and the "7" in "7x").
+TEST(CsvDeathTest, MalformedCellAbortsNamingPathLineColumn) {
+  const std::string path = ::testing::TempDir() + "/malformed.csv";
+  for (const auto& [body, where] :
+       {std::pair<const char*, const char*>{"1,2\n3,abc\n", ":2:2 "},
+        {"1,,2\n", ":1:2 "},
+        {"7x,1\n", ":1:1 "}}) {
+    {
+      std::ofstream out(path);
+      out << body;
+    }
+    EXPECT_DEATH(ReadCsv(path, /*skip_header=*/false),
+                 "malformed\\.csv" + std::string(where) + "is not a number")
+        << body;
+  }
+  // Padding and CRLF line ends are not malformed.
+  {
+    std::ofstream out(path);
+    out << "1, 2.5\r\n 3 ,-4e-1\r\n";
+  }
+  const auto rows = ReadCsv(path, /*skip_header=*/false);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0][1], 2.5f);
+  EXPECT_EQ(rows[1][0], 3.0f);
+  EXPECT_EQ(rows[1][1], -0.4f);
 }
 
 TEST(CsvDatasetTest, LoadsSplits) {

@@ -100,6 +100,20 @@ TEST(RunnerDeathTest, ParseHarnessRejectsNonPositiveScale) {
                "--scale must be a positive number");
 }
 
+// atoi/atof read "2x" as 2 and "abc" as 0, and a trailing flag without a
+// value used to be skipped; all three now abort naming the flag.
+TEST(RunnerDeathTest, ParseHarnessRejectsMalformedAndMissingValues) {
+  const char* suffix[] = {"bench", "--seeds", "2x"};
+  EXPECT_DEATH(ParseHarnessOptions(3, const_cast<char**>(suffix)),
+               "--seeds wants an integer .*'2x'");
+  const char* text[] = {"bench", "--dataset-seed", "abc"};
+  EXPECT_DEATH(ParseHarnessOptions(3, const_cast<char**>(text)),
+               "--dataset-seed wants an integer .*'abc'");
+  const char* missing[] = {"bench", "--paper", "--scale"};
+  EXPECT_DEATH(ParseHarnessOptions(3, const_cast<char**>(missing)),
+               "--scale needs a value");
+}
+
 // The (detector, seed) runs of EvaluateManySeeds execute in parallel on the
 // compute pool; every run owns its detector and Rng, so the aggregate must
 // match the serial execution exactly.

@@ -183,128 +183,5 @@ TEST(MetricsTest, PoolTasksAreCounted) {
   EXPECT_EQ(task_seconds->count(), recorded_before + 8);
 }
 
-// --- MergeMetricsJson: folding per-process snapshots into one report. ------
-
-TEST(MergeMetricsTest, CountersSumAndGaugesMax) {
-  const std::string a =
-      "{\n  \"counters\": {\n    \"a\": 3,\n    \"b\": 1\n  },\n"
-      "  \"gauges\": {\n    \"g\": 2.5,\n    \"h\": 7\n  },\n"
-      "  \"histograms\": {}\n}\n";
-  const std::string b =
-      "{\n  \"counters\": {\n    \"a\": 4,\n    \"c\": 10\n  },\n"
-      "  \"gauges\": {\n    \"g\": 9,\n    \"h\": 1\n  },\n"
-      "  \"histograms\": {}\n}\n";
-  const std::string merged = MergeMetricsJson({a, b});
-  EXPECT_NE(merged.find("\"a\": 7"), std::string::npos);
-  EXPECT_NE(merged.find("\"b\": 1"), std::string::npos);
-  EXPECT_NE(merged.find("\"c\": 10"), std::string::npos);
-  EXPECT_NE(merged.find("\"g\": 9"), std::string::npos);
-  EXPECT_NE(merged.find("\"h\": 7"), std::string::npos);
-}
-
-TEST(MergeMetricsTest, HistogramsMergeBucketwise) {
-  // Latencies 0.25 and 0.5 land in the 0.262144 / 0.524288 buckets
-  // (1µs · 2^18 / 2^19); 4 lands in 4.194304; 1200 exceeds the last finite
-  // bound (~1073.7s) and lands in the unbounded tail bucket.
-  const std::string a =
-      "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {\n"
-      "    \"lat\": {\"count\": 2, \"sum\": 0.75, \"min\": 0.25, "
-      "\"max\": 0.5, \"mean\": 0.375, \"p50\": 0.262144, \"p90\": 0.5, "
-      "\"p99\": 0.5, \"buckets\": [{\"le\": 0.262144, \"count\": 1}, "
-      "{\"le\": 0.524288, \"count\": 1}]}\n  }\n}\n";
-  const std::string b =
-      "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {\n"
-      "    \"lat\": {\"count\": 2, \"sum\": 1204, \"min\": 4, "
-      "\"max\": 1200, \"mean\": 602, \"p50\": 4, \"p90\": 1200, "
-      "\"p99\": 1200, \"buckets\": [{\"le\": 4.194304, \"count\": 1}, "
-      "{\"le\": \"inf\", \"count\": 1}]}\n  }\n}\n";
-  const std::string merged = MergeMetricsJson({a, b});
-  EXPECT_NE(merged.find("\"count\": 4"), std::string::npos);
-  EXPECT_NE(merged.find("\"sum\": 1204.75"), std::string::npos);
-  EXPECT_NE(merged.find("\"min\": 0.25"), std::string::npos);
-  EXPECT_NE(merged.find("\"max\": 1200"), std::string::npos);
-  EXPECT_NE(merged.find("\"mean\": 301.1875"), std::string::npos);
-  // Rank-2 of 4 observations is the 0.524288 bucket; rank-4 lands in the
-  // unbounded tail, which the estimator caps at the observed max.
-  EXPECT_NE(merged.find("\"p50\": 0.524288"), std::string::npos);
-  EXPECT_NE(merged.find("\"p99\": 1200"), std::string::npos);
-  EXPECT_NE(merged.find("\"buckets\": [{\"le\": 0.262144, \"count\": 1}, "
-                        "{\"le\": 0.524288, \"count\": 1}, "
-                        "{\"le\": 4.194304, \"count\": 1}, "
-                        "{\"le\": \"inf\", \"count\": 1}]"),
-            std::string::npos);
-}
-
-TEST(MergeMetricsTest, EmptyHistogramMinMaxAreNotObservations) {
-  // An empty histogram serializes min/max as 0 placeholders; merging must
-  // not let that 0 undercut the real minimum of a populated sibling.
-  const std::string empty =
-      "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {\n"
-      "    \"lat\": {\"count\": 0, \"sum\": 0, \"min\": 0, \"max\": 0, "
-      "\"mean\": 0, \"p50\": 0, \"p90\": 0, \"p99\": 0, \"buckets\": []}\n"
-      "  }\n}\n";
-  const std::string full =
-      "{\n  \"counters\": {},\n  \"gauges\": {},\n  \"histograms\": {\n"
-      "    \"lat\": {\"count\": 1, \"sum\": 0.5, \"min\": 0.5, \"max\": 0.5, "
-      "\"mean\": 0.5, \"p50\": 0.5, \"p90\": 0.5, \"p99\": 0.5, "
-      "\"buckets\": [{\"le\": 0.524288, \"count\": 1}]}\n  }\n}\n";
-  const std::string merged = MergeMetricsJson({empty, full});
-  EXPECT_NE(merged.find("\"min\": 0.5"), std::string::npos);
-  EXPECT_NE(merged.find("\"max\": 0.5"), std::string::npos);
-  EXPECT_NE(merged.find("\"count\": 1"), std::string::npos);
-}
-
-TEST(MergeMetricsTest, UnparsableSnapshotsAreSkippedAndCounted) {
-  Counter* failures =
-      MetricsRegistry::Global().GetCounter("merge.parse_failures");
-  const int64_t before = failures->value();
-  const std::string good =
-      "{\n  \"counters\": {\n    \"a\": 2\n  },\n  \"gauges\": {},\n"
-      "  \"histograms\": {}\n}\n";
-  const std::string merged =
-      MergeMetricsJson({"not json", good, "{\"counters\": {"});
-  EXPECT_EQ(failures->value(), before + 2);
-  EXPECT_NE(merged.find("\"a\": 2"), std::string::npos);
-}
-
-// Splitting a workload across two snapshots and merging reproduces the
-// never-split single-process histogram line byte-for-byte — the property
-// that makes the router's merged report comparable with a 1-shard run.
-TEST(MergeMetricsTest, MergeOfSplitRunMatchesUnsplitRun) {
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  Histogram* hist = registry.GetHistogram("merge.live_seconds");
-  Counter* counter = registry.GetCounter("merge.live_count");
-
-  auto line_for = [](const std::string& json, const std::string& name) {
-    const size_t pos = json.find("\"" + name + "\": {");
-    EXPECT_NE(pos, std::string::npos);
-    const size_t end = json.find('\n', pos);
-    return json.substr(pos, end - pos);
-  };
-
-  registry.Reset();
-  hist->Record(0.25);
-  hist->Record(0.5);
-  counter->Increment(3);
-  const std::string first_half = MetricsToJson();
-
-  registry.Reset();
-  hist->Record(4.0);
-  counter->Increment(2);
-  const std::string second_half = MetricsToJson();
-
-  registry.Reset();
-  hist->Record(0.25);
-  hist->Record(0.5);
-  hist->Record(4.0);
-  counter->Increment(5);
-  const std::string unsplit = MetricsToJson();
-
-  const std::string merged = MergeMetricsJson({first_half, second_half});
-  EXPECT_EQ(line_for(merged, "merge.live_seconds"),
-            line_for(unsplit, "merge.live_seconds"));
-  EXPECT_NE(merged.find("\"merge.live_count\": 5"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace imdiff

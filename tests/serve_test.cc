@@ -1211,6 +1211,48 @@ TEST(ServeDegradeTest, DeadlineChaosDegradesSameBlocksAcrossRuns) {
             serve::ReplayThroughServer(model, streams, options).scores);
 }
 
+// A block's rung is chosen before its cache lookup, and only a level-0 block
+// takes cached (level-0) scores. The paced replay lands every write-back
+// before the next overlapping block is planned, so a block the keyed
+// serve.deadline point degrades finds its predecessor's windows cached; it
+// must still score all of them at its own level. Every position then equals
+// the serial replay at the level its block recorded.
+TEST(ServeDegradeTest, DegradedBlocksScoreEveryWindowAtTheirLevel) {
+  std::shared_ptr<const ModelEntry> model = SharedModel();
+  FaultScope faults("serve.deadline:0.5", 77);
+  StreamServer::Options options;
+  options.num_workers = 1;
+  options.session.online.block = 40;    // == model window
+  options.session.online.context = 80;  // two cacheable windows per block
+  options.session.seed_base = 47;
+  options.batch.flush_window_seconds = 0.002;
+  const std::vector<TenantStream> streams = {MakeStream("rung-a", 191, 400),
+                                             MakeStream("rung-b", 192, 400)};
+  const int64_t hits_before = CounterValue("serve.cache_hits");
+  const serve::ReplayStats served =
+      serve::ReplayThroughServer(model, streams, options);
+  EXPECT_GT(CounterValue("serve.cache_hits"), hits_before);
+  EXPECT_GT(served.degraded_alerts, 0);
+  EXPECT_LT(served.degraded_alerts, served.alerts);
+
+  for (const TenantStream& stream : streams) {
+    std::map<int, std::vector<float>> serial;
+    for (const int level : {0, 2}) {
+      serial[level] =
+          serve::ReplaySerial(*model, options.session.online,
+                              options.session.seed_base, stream, level);
+    }
+    const std::vector<float>& scores = served.scores.at(stream.tenant);
+    const std::vector<int>& levels = served.levels.at(stream.tenant);
+    int64_t mismatched = 0;
+    for (size_t p = 0; p < scores.size(); ++p) {
+      ASSERT_EQ(serial.count(levels[p]), 1u) << "level " << levels[p];
+      if (scores[p] != serial[levels[p]][p]) ++mismatched;
+    }
+    EXPECT_EQ(mismatched, 0) << stream.tenant;
+  }
+}
+
 // The deadline ladder's rule, one axis: level 0 within budget, level 1 for
 // an overshoot of at most 3x, level 2 beyond that or with the budget gone.
 TEST(ServeDegradeTest, DeadlineLevelFollowsOvershoot) {
@@ -1309,75 +1351,6 @@ TEST(ServeFaultTest, BitwiseNeutralFaultsKeepServedMatchingSerial) {
   // The faults actually exercised their degradation paths.
   EXPECT_GT(CounterValue("arena.fallback"), fallbacks_before);
   EXPECT_GT(CounterValue("serve.flush_timeouts"), flushes_before);
-}
-
-// Cross-process session continuity (DESIGN.md §16): a session exported from
-// one server, shipped as the wire byte format resharding moves use, and
-// imported into a *fresh* server (a stand-in for another process sharing the
-// published model) continues scoring bitwise-identically to one
-// uninterrupted serial replay.
-TEST(ServeStateTest, SessionByteRoundTripContinuesAcrossServersBitwise) {
-  std::shared_ptr<const ModelEntry> model = SharedModel();
-  StreamServer::Options options;
-  options.num_workers = 1;
-  options.queue_capacity = 4096;
-  options.session.online.block = 50;
-  options.session.online.context = 50;
-  options.session.seed_base = 9;
-  options.batch.max_batch_windows = 1 << 20;
-  options.batch.flush_window_seconds = 1e6;  // flush only at Drain
-
-  const TenantStream stream = MakeStream("roundtrip", 83, 150);
-  const int64_t k = stream.samples.dim(1);
-  std::vector<float> sample(static_cast<size_t>(k));
-
-  std::mutex mu;
-  std::vector<float> assembled(150, 0.0f);
-  auto on_block = [&](const StreamServer::ScoredBlock& block) {
-    std::lock_guard<std::mutex> lock(mu);
-    for (size_t i = 0; i < block.alert.scores.size(); ++i) {
-      assembled[static_cast<size_t>(block.alert.start) + i] =
-          block.alert.scores[i];
-    }
-  };
-  auto submit_range = [&](StreamServer& server, int64_t begin, int64_t end) {
-    for (int64_t l = begin; l < end; ++l) {
-      std::copy_n(stream.samples.data() + l * k, k, sample.begin());
-      ASSERT_TRUE(server.Submit("roundtrip", sample, {}));
-    }
-  };
-
-  std::vector<uint8_t> bytes;
-  {
-    StreamServer first(model, options, on_block);
-    submit_range(first, 0, 70);
-    first.Drain();
-    serve::SessionSnapshot snapshot;
-    ASSERT_TRUE(first.sessions().ExportSession("roundtrip", &snapshot));
-    bytes = serve::SerializeSession(snapshot);
-    first.Shutdown();
-  }
-
-  // The byte format is self-consistent (serialize . deserialize = identity)
-  // and rejects truncation instead of half-applying it.
-  serve::SessionSnapshot decoded;
-  ASSERT_TRUE(serve::DeserializeSession(bytes, &decoded));
-  EXPECT_EQ(serve::SerializeSession(decoded), bytes);
-  serve::SessionSnapshot rejected;
-  EXPECT_FALSE(serve::DeserializeSession(
-      std::vector<uint8_t>(bytes.begin(), bytes.end() - 1), &rejected));
-
-  {
-    StreamServer second(model, options, on_block);
-    second.sessions().ImportSession("roundtrip", decoded);
-    submit_range(second, 70, 150);
-    second.Drain();
-    second.Shutdown();
-  }
-
-  const std::vector<float> want = serve::ReplaySerial(
-      *model, options.session.online, options.session.seed_base, stream);
-  EXPECT_EQ(assembled, want);
 }
 
 }  // namespace

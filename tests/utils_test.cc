@@ -1,6 +1,8 @@
 #include <atomic>
+#include <cstdlib>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -34,24 +36,11 @@ TEST(FlagsTest, ParsesWholeNumbersThatFit) {
   EXPECT_EQ(FlagValue<double>("--deadline-ms", "1e3"), 1000.0);
 }
 
-// A flag forwarded to a child process must arrive as the same number:
-// std::to_string(1e-7) is "0.000000", FormatFlag(1e-7) parses back exactly.
-TEST(FlagsTest, FormatFlagRoundTripsThroughFlagValue) {
-  for (const double x : {1e-7, 0.25, 1.0 / 3.0, 1e300}) {
-    EXPECT_EQ(FlagValue<double>("--x", FormatFlag(x).c_str()), x)
-        << FormatFlag(x);
-  }
-  EXPECT_EQ(FlagValue<int64_t>("--block", FormatFlag(int64_t{-12}).c_str()),
-            -12);
-  EXPECT_EQ(FlagValue<uint64_t>("--seed", FormatFlag(UINT64_MAX).c_str()),
-            UINT64_MAX);
-}
-
 TEST(FlagsDeathTest, RejectsWhatAtoiWouldCoerceNamingTheFlag) {
   EXPECT_DEATH(FlagValue<int64_t>("--block", "12x"), "--block wants .*'12x'");
   EXPECT_DEATH(FlagValue<int64_t>("--queue", ""), "--queue wants .*''");
-  EXPECT_DEATH(FlagValue<int64_t>("--shards", "9223372036854775808"),
-               "--shards wants an integer in");
+  EXPECT_DEATH(FlagValue<int64_t>("--total-samples", "9223372036854775808"),
+               "--total-samples wants an integer in");
   EXPECT_DEATH(FlagValue<int>("--workers", "2147483648"), "--workers wants");
   EXPECT_DEATH(FlagValue<uint64_t>("--seed", "-1"), "--seed wants");
   EXPECT_DEATH(FlagValue<double>("--flush-ms", "1e999"),
@@ -240,6 +229,24 @@ TEST(ComputePoolTest, SetComputeThreadsRebuildsPool) {
   SetComputeThreads(1);
   EXPECT_EQ(ComputeThreads(), 1u);
   EXPECT_EQ(ComputePool(), nullptr);
+}
+
+// IMDIFF_NUM_THREADS is parsed whole: "4x" is not 4 and "abc" is not the
+// hardware count. The threadsafe style re-executes the binary, so the child
+// builds its pool from the variable instead of inheriting a forked one.
+TEST(ComputePoolDeathTest, MalformedThreadCountAbortsNamingTheVariable) {
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const char* value : {"4x", "abc", "", "0", "-2"}) {
+    EXPECT_DEATH(
+        {
+          setenv("IMDIFF_NUM_THREADS", value, 1);
+          SetComputeThreads(0);
+        },
+        "IMDIFF_NUM_THREADS")
+        << "'" << value << "'";
+  }
+  ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

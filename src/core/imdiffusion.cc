@@ -756,15 +756,20 @@ std::vector<ImDiffusionDetector::WindowScore> ImDiffusionDetector::ScoreChunks(
   ErrorRows rows(num_votes,
                  std::vector<std::vector<float>>(
                      static_cast<size_t>(num_windows)));
-  const int64_t num_chunks =
-      (num_windows + config_.infer_batch - 1) / config_.infer_batch;
+  // This loop is the only parallel level of seeded scoring: each chunk runs
+  // serially on one pool thread. Chunks are sized so that a batch of fewer
+  // than infer_batch x threads windows still fills the pool; a window's
+  // score does not depend on which windows share its chunk.
+  const int64_t threads = static_cast<int64_t>(ComputeThreads());
+  const int64_t chunk_size = std::min<int64_t>(
+      config_.infer_batch, (num_windows + threads - 1) / threads);
+  const int64_t num_chunks = (num_windows + chunk_size - 1) / chunk_size;
   Counter* const windows_scored =
       MetricsRegistry::Global().GetCounter("detector.windows_scored");
   ParallelFor(ComputePool(), static_cast<size_t>(num_chunks), [&](size_t ci) {
     IMDIFF_TRACE_SCOPE("detector.window_score_seconds");
-    const int64_t chunk = static_cast<int64_t>(ci) * config_.infer_batch;
-    const int64_t bsz =
-        std::min<int64_t>(config_.infer_batch, num_windows - chunk);
+    const int64_t chunk = static_cast<int64_t>(ci) * chunk_size;
+    const int64_t bsz = std::min<int64_t>(chunk_size, num_windows - chunk);
     windows_scored->Increment(bsz);
     score_chunk(chunk, bsz, &rows);
   });

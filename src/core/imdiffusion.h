@@ -159,8 +159,9 @@ class ImDiffusionDetector : public AnomalyDetector {
   WindowPlan PlanWindows(const Tensor& series) const;
 
   // Scores N windows ([N, K, W]; possibly from different series/sessions) in
-  // shared reverse-diffusion chunks of `infer_batch`. seeds[i] drives all
-  // noise for window i. Requires a deterministic mask strategy (not kRandom).
+  // shared reverse-diffusion chunks of at most `infer_batch`, one chunk per
+  // compute thread when N fits. seeds[i] drives all noise for window i.
+  // Requires a deterministic mask strategy (not kRandom).
   //
   // `degrade_level` > 0 trades accuracy for latency by truncating the reverse
   // chain (the serving layer's deadline-degradation knob, DESIGN.md §13): the
@@ -260,8 +261,9 @@ class ImDiffusionDetector : public AnomalyDetector {
   void ErrorRowsFromDiff(const std::vector<Tensor>& step_diff, int64_t bsz,
                          int64_t row_offset, ErrorRows* rows) const;
   // Shared driver of ScoreWindowBatch and ScoreWindowBatchOnStack: checks
-  // the batch, calls score_chunk(chunk, bsz, rows) for every infer_batch
-  // chunk on the compute pool, and gathers the rows into per-window scores.
+  // the batch, splits it into chunks of min(infer_batch, ceil(N / compute
+  // threads)) windows, calls score_chunk(chunk, bsz, rows) for every chunk on
+  // the compute pool, and gathers the rows into per-window scores.
   using ChunkScorer =
       std::function<void(int64_t chunk, int64_t bsz, ErrorRows* rows)>;
   std::vector<WindowScore> ScoreChunks(const Tensor& windows,

@@ -14,7 +14,6 @@
 #include "tensor/simd.h"
 #include "utils/metrics.h"
 #include "utils/rng.h"
-#include "utils/thread_pool.h"
 
 namespace imdiff {
 namespace graph {
@@ -61,10 +60,10 @@ enum : int {
   kAtQ,        // q in head-split layout [bp*H, len, Dh]
   kAtK,
   kAtV,
-  kAtScores,   // [bp*H, len, len]
+  kAtScores,   // one item's [len, len] scores
   kAtCtx,      // per-head context [bp*H, len, Dh]
   kAtMerged,   // merged context [R', D] (== kAtCtx when heads == 1)
-  kAtBpack,    // per-item GEMM panel scratch (SIMD builds only)
+  kAtBpack,    // one GEMM B panel of scratch (SIMD builds only)
   kAtSlots
 };
 
@@ -521,19 +520,15 @@ struct GraphContext::Impl {
       pb_q = NewBuf(rd, false);
       pb_k = NewBuf(rd, false);
       pb_v = NewBuf(rd, false);
-      // Worst case over the temporal ([B*K*H, L, L]) and spatial
-      // ([B*L*H, K, K]) score matrices, shared by every encoder op.
-      const size_t sc = static_cast<size_t>(
-          std::max(B * K * H * L * L, B * L * H * K * K));
-      pb_scores = NewBuf(sc, false);
+      // Attention items run one at a time, so one item's score matrix (the
+      // worse of temporal [L, L] and spatial [K, K]) and one GEMM B panel
+      // serve every encoder op.
+      pb_scores = NewBuf(static_cast<size_t>(std::max(L * L, K * K)), false);
       pb_ctx = NewBuf(rd, false);
       pb_att = H > 1 ? NewBuf(rd, false) : -1;
       pb_ffh = NewBuf(static_cast<size_t>(R * FF), false);
 #if defined(IMDIFF_SIMD_ANY)
-      const size_t items =
-          static_cast<size_t>(std::max(B * K * H, B * L * H));
-      const size_t panel = gemm::PanelFloats(std::max({Dh, L, K}));
-      pb_bpack = NewBuf(items * panel, false);
+      pb_bpack = NewBuf(gemm::PanelFloats(std::max({Dh, L, K})), false);
 #endif
     }
     const int pb_fg = NewBuf(static_cast<size_t>(R * 2 * D), false);
@@ -721,24 +716,15 @@ struct GraphContext::Impl {
 
   // ---- Execution ---------------------------------------------------------
 
-  // dst rows = relu?(src rows @ W + b) with the exact GEMM kernels and the
-  // exact MatMul row partition of the layer stack.
-  void RunLinear(const Weight& w, const float* a, float* c, int64_t rows,
-                 bool relu) {
-    const size_t grain = gemm::RowGrain(2 * w.in * w.out);
-    ParallelForRange(ComputePool(), static_cast<size_t>(rows), grain,
-                     [&](size_t begin, size_t end) {
-                       GemmRows(w, a, c, rows, static_cast<int64_t>(begin),
-                                static_cast<int64_t>(end), relu, nullptr);
-                     });
-  }
+  // Every op runs serially over its full range: chunks are the one parallel
+  // level of seeded scoring (ImDiffusionDetector::ScoreChunks), so the
+  // executor never touches the compute pool.
 
-  // Rows [rb, re) of LayerNorm(x) into `out` — the row body of
+  // LayerNorm(x) into `out` over `rows` rows — the row body of
   // LayerNormForward (tensor_ops.cc) verbatim.
-  void NormRows(const Norm& nm, const float* x, float* out, int64_t rb,
-                int64_t re) {
+  void NormRows(const Norm& nm, const float* x, float* out, int64_t rows) {
     const float inv_n = 1.0f / static_cast<float>(D);
-    for (int64_t r = rb; r < re; ++r) {
+    for (int64_t r = 0; r < rows; ++r) {
       const float* row = x + r * D;
       const float mean = simd::Sum(row, D) * inv_n;
       const float var = simd::SqDiffSum(row, mean, D) * inv_n;
@@ -749,34 +735,32 @@ struct GraphContext::Impl {
     }
   }
 
-  // Rows [rb, re) of v = a @ W + b, then v = max(v, 0) when `relu`, stored
+  // v = a @ W + b over `rows` rows, then v = max(v, 0) when `relu`, stored
   // as c = v — or, when `residual` is set, accumulated as c = c + v (the
   // encoder's residual add). This is the single GEMM body every lowered
-  // Linear shares. The SIMD GEMM applies that epilogue in registers
-  // (gemm::Epilogue). The scalar GEMM has none, so it stores the product
-  // (into `residual` when accumulating, else into c) and runs the same IEEE
-  // operations as separate row passes; both routes give the same bits.
-  // Row-local like the underlying kernels, so it is safe inside any row
-  // partition.
-  void GemmRows(const Weight& w, const float* a, float* c, int64_t rows,
-                int64_t rb, int64_t re, bool relu, float* residual) {
+  // Linear shares, on the exact kernels of the layer stack's MatMul. The
+  // SIMD GEMM applies that epilogue in registers (gemm::Epilogue). The
+  // scalar GEMM has none, so it stores the product (into `residual` when
+  // accumulating, else into c) and runs the same IEEE operations as separate
+  // row passes; both routes give the same bits.
+  void RunLinear(const Weight& w, const float* a, float* c, int64_t rows,
+                 bool relu, float* residual = nullptr) {
 #if defined(IMDIFF_SIMD_ANY)
     if (simd::Enabled()) {
       gemm::Epilogue ep;
       ep.bias = w.bias;
       ep.relu = relu;
       ep.accumulate = residual != nullptr;
-      gemm::GemmRowsPrepacked(a, w.packed.data(), c, rows, w.in, w.out, rb, re,
-                              ep);
+      gemm::GemmRowsPrepacked(a, w.packed.data(), c, rows, w.in, w.out, 0,
+                              rows, ep);
       return;
     }
 #endif
     float* out = residual != nullptr ? residual : c;
-    std::memset(out + rb * w.out, 0,
-                static_cast<size_t>((re - rb) * w.out) * sizeof(float));
-    gemm::MatMulRowsScalar(a, w.w, out, rows, w.in, w.out, false, false, rb,
-                           re);
-    for (int64_t r = rb; r < re; ++r) {
+    std::memset(out, 0, static_cast<size_t>(rows * w.out) * sizeof(float));
+    gemm::MatMulRowsScalar(a, w.w, out, rows, w.in, w.out, false, false, 0,
+                           rows);
+    for (int64_t r = 0; r < rows; ++r) {
       float* row = out + r * w.out;
       if (w.bias != nullptr) simd::AddInto(row, row, w.bias, w.out);
       if (relu) {
@@ -809,107 +793,76 @@ struct GraphContext::Impl {
     const int heads = op.heads;
 
     // Fused LayerNorm + QKV projections (+ head split when heads > 1).
-    ParallelForRange(
-        ComputePool(), static_cast<size_t>(rows), gemm::RowGrain(6 * D * D),
-        [&](size_t begin, size_t end) {
-          const int64_t rb = static_cast<int64_t>(begin);
-          const int64_t re = static_cast<int64_t>(end);
-          NormRows(nm, x, ln, rb, re);
-          const Weight* ws[3] = {&wq, &wk, &wv};
-          float* outs[3] = {qh, kh, vh};
-          for (int wi = 0; wi < 3; ++wi) {
-            float* gdst = heads > 1 ? tmp : outs[wi];
-            GemmRows(*ws[wi], ln, gdst, rows, rb, re, false, nullptr);
-            if (heads > 1) {
-              for (int64_t r = rb; r < re; ++r) {
-                const int64_t item = r / len;
-                const int64_t l = r % len;
-                for (int h = 0; h < heads; ++h) {
-                  std::memcpy(
-                      outs[wi] + (((item * heads + h) * len) + l) * dh,
-                      gdst + r * D + h * dh,
-                      static_cast<size_t>(dh) * sizeof(float));
-                }
-              }
-            }
+    NormRows(nm, x, ln, rows);
+    const Weight* ws[3] = {&wq, &wk, &wv};
+    float* outs[3] = {qh, kh, vh};
+    for (int wi = 0; wi < 3; ++wi) {
+      float* gdst = heads > 1 ? tmp : outs[wi];
+      RunLinear(*ws[wi], ln, gdst, rows, false);
+      if (heads > 1) {
+        for (int64_t r = 0; r < rows; ++r) {
+          const int64_t item = r / len;
+          const int64_t l = r % len;
+          for (int h = 0; h < heads; ++h) {
+            std::memcpy(outs[wi] + (((item * heads + h) * len) + l) * dh,
+                        gdst + r * D + h * dh,
+                        static_cast<size_t>(dh) * sizeof(float));
           }
-        });
-
+        }
+      }
+    }
     timer.Lap(kTimeAttentionQkv);
 
-    // Per-(sequence, head) scaled-dot-product attention.
-    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
-    const size_t items = static_cast<size_t>(op.bp * heads);
+    // Per-(sequence, head) scaled-dot-product attention, one item at a time
+    // through a single [len, len] score buffer and B-panel scratch.
 #if defined(IMDIFF_SIMD_ANY)
     float* bpack = op.buf[kAtBpack] >= 0 ? Buf(op.buf[kAtBpack]) : nullptr;
-    const size_t panel = gemm::PanelFloats(std::max({Dh, L, K}));
 #endif
-    ParallelFor(
-        ComputePool(), items,
-        [&](size_t item) {
-          const int64_t i = static_cast<int64_t>(item);
-          const float* qi = qh + i * len * dh;
-          const float* ki = kh + i * len * dh;
-          const float* vi = vh + i * len * dh;
-          float* si = scores + i * len * len;
-          float* ci = ctx + i * len * dh;
+    // c[len, n] = a[len, k] @ b (b is [n, k] when `tb`), on the kernels of
+    // the stack's BatchedMatMul.
+    auto matmul = [&](const float* a, const float* b, float* c, int64_t k,
+                      int64_t n, bool tb) {
 #if defined(IMDIFF_SIMD_ANY)
-          if (simd::Enabled()) {
-            float* bp_scr = bpack + item * panel;
-            gemm::GemmRowsPackedScratch(qi, ki, si, len, dh, len, false, true,
-                                        0, len, bp_scr, nullptr);
-            simd::ScaleInPlace(si, scale, len * len);
-            for (int64_t rr = 0; rr < len; ++rr) {
-              float* srow = si + rr * len;
-              const float mx = simd::MaxReduce(srow, len);
-              const float sum = simd::ExpSumInto(srow, srow, mx, len);
-              simd::ScaleInPlace(srow, 1.0f / sum, len);
-            }
-            gemm::GemmRowsPackedScratch(si, vi, ci, len, len, dh, false, false,
-                                        0, len, bp_scr, nullptr);
-            return;
-          }
+      if (simd::Enabled()) {
+        gemm::GemmRowsPackedScratch(a, b, c, len, k, n, false, tb, 0, len,
+                                    bpack, nullptr);
+        return;
+      }
 #endif
-          std::memset(si, 0, static_cast<size_t>(len * len) * sizeof(float));
-          gemm::MatMulRowsScalar(qi, ki, si, len, dh, len, false, true, 0,
-                                 len);
-          simd::ScaleInPlace(si, scale, len * len);
-          for (int64_t rr = 0; rr < len; ++rr) {
-            float* srow = si + rr * len;
-            const float mx = simd::MaxReduce(srow, len);
-            const float sum = simd::ExpSumInto(srow, srow, mx, len);
-            simd::ScaleInPlace(srow, 1.0f / sum, len);
-          }
-          std::memset(ci, 0, static_cast<size_t>(len * dh) * sizeof(float));
-          gemm::MatMulRowsScalar(si, vi, ci, len, len, dh, false, false, 0,
-                                 len);
-        },
-        gemm::RowGrain(2 * len * dh * len));
+      std::memset(c, 0, static_cast<size_t>(len * n) * sizeof(float));
+      gemm::MatMulRowsScalar(a, b, c, len, k, n, false, tb, 0, len);
+    };
+    const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+    for (int64_t i = 0; i < op.bp * heads; ++i) {
+      matmul(qh + i * len * dh, kh + i * len * dh, scores, dh, len, true);
+      simd::ScaleInPlace(scores, scale, len * len);
+      for (int64_t rr = 0; rr < len; ++rr) {
+        float* srow = scores + rr * len;
+        const float mx = simd::MaxReduce(srow, len);
+        const float sum = simd::ExpSumInto(srow, srow, mx, len);
+        simd::ScaleInPlace(srow, 1.0f / sum, len);
+      }
+      matmul(scores, vh + i * len * dh, ctx + i * len * dh, len, dh, false);
+    }
     timer.Lap(kTimeAttentionCore);
 
-    // Merge heads (gather per range) + output projection + residual.
-    ParallelForRange(
-        ComputePool(), static_cast<size_t>(rows), gemm::RowGrain(2 * D * D),
-        [&](size_t begin, size_t end) {
-          const int64_t rb = static_cast<int64_t>(begin);
-          const int64_t re = static_cast<int64_t>(end);
-          if (heads > 1) {
-            for (int64_t r = rb; r < re; ++r) {
-              const int64_t item = r / len;
-              const int64_t l = r % len;
-              for (int h = 0; h < heads; ++h) {
-                std::memcpy(merged + r * D + h * dh,
-                            ctx + (((item * heads + h) * len) + l) * dh,
-                            static_cast<size_t>(dh) * sizeof(float));
-              }
-            }
-          }
-          GemmRows(wo, merged, x, rows, rb, re, false, ln);
-        });
+    // Merge heads + output projection + residual.
+    if (heads > 1) {
+      for (int64_t r = 0; r < rows; ++r) {
+        const int64_t item = r / len;
+        const int64_t l = r % len;
+        for (int h = 0; h < heads; ++h) {
+          std::memcpy(merged + r * D + h * dh,
+                      ctx + (((item * heads + h) * len) + l) * dh,
+                      static_cast<size_t>(dh) * sizeof(float));
+        }
+      }
+    }
+    RunLinear(wo, merged, x, rows, false, ln);
   }
 
-  // The ISSUE's LayerNorm -> MatMul -> GELU chain, fused into one row pass:
-  // x += fc2(GELU(fc1(LayerNorm(x)))).
+  // The LayerNorm -> MatMul -> GELU -> MatMul chain of the encoder
+  // feed-forward: x += fc2(GELU(fc1(LayerNorm(x)))).
   void RunFfn(const Op& op) {
     float* x = Buf(op.dst);
     float* ln = Buf(op.buf[kAtLn]);
@@ -918,16 +871,10 @@ struct GraphContext::Impl {
     const Weight& fc2 = weights[static_cast<size_t>(op.w[1])];
     const Norm& nm = norms[static_cast<size_t>(op.norm)];
     const int64_t rows = op.rows;
-    ParallelForRange(
-        ComputePool(), static_cast<size_t>(rows), gemm::RowGrain(2 * D * FF),
-        [&](size_t begin, size_t end) {
-          const int64_t rb = static_cast<int64_t>(begin);
-          const int64_t re = static_cast<int64_t>(end);
-          NormRows(nm, x, ln, rb, re);
-          GemmRows(fc1, ln, ffh, rows, rb, re, false, nullptr);
-          simd::GeluInto(ffh + rb * FF, ffh + rb * FF, (re - rb) * FF);
-          GemmRows(fc2, ffh, x, rows, rb, re, false, ln);
-        });
+    NormRows(nm, x, ln, rows);
+    RunLinear(fc1, ln, ffh, rows, false);
+    simd::GeluInto(ffh, ffh, rows * FF);
+    RunLinear(fc2, ffh, x, rows, false, ln);
   }
 
   void RunForward() {
@@ -940,16 +887,11 @@ struct GraphContext::Impl {
           const float* nr = Buf(bc_nr);
           const float* mk = dyn_mask;
           float* po = Buf(op.dst);
-          ParallelForRange(ComputePool(), static_cast<size_t>(op.rows),
-                           gemm::kElementGrain,
-                           [&](size_t begin, size_t end) {
-                             for (int64_t i = static_cast<int64_t>(begin);
-                                  i < static_cast<int64_t>(end); ++i) {
-                               po[i * 3 + 0] = xm[i];
-                               po[i * 3 + 1] = nr[i];
-                               po[i * 3 + 2] = mk[i];
-                             }
-                           });
+          for (int64_t i = 0; i < op.rows; ++i) {
+            po[i * 3 + 0] = xm[i];
+            po[i * 3 + 1] = nr[i];
+            po[i * 3 + 2] = mk[i];
+          }
           break;
         }
         case OpKind::kLinear:
@@ -964,64 +906,43 @@ struct GraphContext::Impl {
               ((static_cast<int64_t>(op.block) * P + dyn_policy) * Tp +
                dyn_t) *
                   D;
-          ParallelForRange(ComputePool(), static_cast<size_t>(op.rows),
-                           gemm::RowGrain(D),
-                           [&](size_t begin, size_t end) {
-                             for (int64_t r = static_cast<int64_t>(begin);
-                                  r < static_cast<int64_t>(end); ++r) {
-                               simd::AddInto(dst + r * D, src + r * D, se, D);
-                             }
-                           });
+          for (int64_t r = 0; r < op.rows; ++r) {
+            simd::AddInto(dst + r * D, src + r * D, se, D);
+          }
           break;
         }
         case OpKind::kAddSide: {
           float* x = Buf(op.dst);
           const float* side = side_rows + static_cast<int64_t>(op.block) * KL * D;
-          ParallelForRange(ComputePool(), static_cast<size_t>(op.rows),
-                           gemm::RowGrain(D),
-                           [&](size_t begin, size_t end) {
-                             for (int64_t r = static_cast<int64_t>(begin);
-                                  r < static_cast<int64_t>(end); ++r) {
-                               simd::AddInPlace(x + r * D,
-                                                side + (r % KL) * D, D);
-                             }
-                           });
+          for (int64_t r = 0; r < op.rows; ++r) {
+            simd::AddInPlace(x + r * D, side + (r % KL) * D, D);
+          }
           break;
         }
         case OpKind::kPermuteToSpatial: {
           const float* src = Buf(op.src);
           float* dst = Buf(op.dst);
-          ParallelForRange(
-              ComputePool(), static_cast<size_t>(op.rows), gemm::RowGrain(D),
-              [&](size_t begin, size_t end) {
-                for (int64_t r = static_cast<int64_t>(begin);
-                     r < static_cast<int64_t>(end); ++r) {
-                  const int64_t b = r / KL;
-                  const int64_t rem = r % KL;
-                  const int64_t l = rem / K;
-                  const int64_t j = rem % K;
-                  std::memcpy(dst + r * D, src + ((b * K + j) * L + l) * D,
-                              static_cast<size_t>(D) * sizeof(float));
-                }
-              });
+          for (int64_t r = 0; r < op.rows; ++r) {
+            const int64_t b = r / KL;
+            const int64_t rem = r % KL;
+            const int64_t l = rem / K;
+            const int64_t j = rem % K;
+            std::memcpy(dst + r * D, src + ((b * K + j) * L + l) * D,
+                        static_cast<size_t>(D) * sizeof(float));
+          }
           break;
         }
         case OpKind::kPermuteFromSpatial: {
           const float* src = Buf(op.src);
           float* dst = Buf(op.dst);
-          ParallelForRange(
-              ComputePool(), static_cast<size_t>(op.rows), gemm::RowGrain(D),
-              [&](size_t begin, size_t end) {
-                for (int64_t r = static_cast<int64_t>(begin);
-                     r < static_cast<int64_t>(end); ++r) {
-                  const int64_t b = r / KL;
-                  const int64_t rem = r % KL;
-                  const int64_t j = rem / L;
-                  const int64_t l = rem % L;
-                  std::memcpy(dst + r * D, src + ((b * L + l) * K + j) * D,
-                              static_cast<size_t>(D) * sizeof(float));
-                }
-              });
+          for (int64_t r = 0; r < op.rows; ++r) {
+            const int64_t b = r / KL;
+            const int64_t rem = r % KL;
+            const int64_t j = rem / L;
+            const int64_t l = rem % L;
+            std::memcpy(dst + r * D, src + ((b * L + l) * K + j) * D,
+                        static_cast<size_t>(D) * sizeof(float));
+          }
           break;
         }
         case OpKind::kAttention:
@@ -1030,61 +951,34 @@ struct GraphContext::Impl {
         case OpKind::kFfn:
           RunFfn(op);
           break;
-        case OpKind::kGate: {
-          const float* fg = Buf(op.src);
-          float* out = Buf(op.dst);
+        case OpKind::kGate:
           // Same row kernel as the stack's GateForward (tensor_ops.cc).
-          ParallelForRange(
-              ComputePool(), static_cast<size_t>(op.rows), gemm::RowGrain(8 * D),
-              [&](size_t begin, size_t end) {
-                const auto r0 = static_cast<int64_t>(begin);
-                simd::GateRowsInto(out + r0 * D, fg + r0 * 2 * D,
-                                   static_cast<int64_t>(end) - r0, D);
-              });
+          simd::GateRowsInto(Buf(op.dst), Buf(op.src), op.rows, D);
           break;
-        }
         case OpKind::kResSkip: {
           const float* rs = Buf(op.src);
           float* h = Buf(op.dst);
           float* skip = Buf(op.buf[0]);
           const float s = op.scale;
-          const bool first = op.first;
-          ParallelForRange(
-              ComputePool(), static_cast<size_t>(op.rows), gemm::RowGrain(4 * D),
-              [&](size_t begin, size_t end) {
-                for (int64_t r = static_cast<int64_t>(begin);
-                     r < static_cast<int64_t>(end); ++r) {
-                  const float* rr = rs + r * 2 * D;
-                  float* hr = h + r * D;
-                  float* sr = skip + r * D;
-                  for (int64_t j = 0; j < D; ++j) {
-                    const float t = hr[j] + rr[j];
-                    hr[j] = t * s;
-                    if (first) {
-                      sr[j] = rr[D + j];
-                    } else {
-                      sr[j] += rr[D + j];
-                    }
-                  }
-                }
-              });
+          for (int64_t r = 0; r < op.rows; ++r) {
+            const float* rr = rs + r * 2 * D;
+            float* hr = h + r * D;
+            float* sr = skip + r * D;
+            for (int64_t j = 0; j < D; ++j) {
+              const float t = hr[j] + rr[j];
+              hr[j] = t * s;
+              if (op.first) {
+                sr[j] = rr[D + j];
+              } else {
+                sr[j] += rr[D + j];
+              }
+            }
+          }
           break;
         }
-        case OpKind::kScale: {
-          const float* src = Buf(op.src);
-          float* dst = Buf(op.dst);
-          const float s = op.scale;
-          ParallelForRange(ComputePool(),
-                           static_cast<size_t>(op.rows * D),
-                           gemm::kElementGrain,
-                           [&](size_t begin, size_t end) {
-                             simd::ScaleInto(
-                                 dst + static_cast<int64_t>(begin),
-                                 src + static_cast<int64_t>(begin), s,
-                                 static_cast<int64_t>(end - begin));
-                           });
+        case OpKind::kScale:
+          simd::ScaleInto(Buf(op.dst), Buf(op.src), op.scale, op.rows * D);
           break;
-        }
       }
       timer.Lap(OpTimeOf(op.kind));
     }

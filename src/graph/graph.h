@@ -69,8 +69,9 @@ struct DenoiserSpec {
 };
 
 // One captured, lowered, and arena-planned reverse-diffusion chunk executor.
-// Not thread-safe: a context scores one chunk at a time (GraphCache pools
-// idle contexts so concurrent chunks each hold their own).
+// Not thread-safe: a context scores one chunk at a time, serially on the
+// calling thread; chunks run in parallel only across contexts (GraphCache
+// pools idle contexts so concurrent chunks each hold their own).
 class GraphContext {
  public:
   explicit GraphContext(const DenoiserSpec& spec);

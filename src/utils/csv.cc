@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
 
@@ -52,6 +53,8 @@ void WriteCsv(const std::string& path, const std::vector<std::string>& header,
               const std::vector<std::vector<float>>& rows) {
   std::ofstream out(path);
   IMDIFF_CHECK(out.good()) << "cannot write" << path;
+  // max_digits10 significant digits, so ReadCsv gets every float back exactly.
+  out.precision(std::numeric_limits<float>::max_digits10);
   if (!header.empty()) {
     for (size_t i = 0; i < header.size(); ++i) {
       if (i > 0) out << ",";

@@ -1,12 +1,15 @@
 // Fixed-size thread pool with chunked ParallelFor helpers and a process-wide
 // compute pool.
 //
-// The compute pool (ComputePool()) parallelizes the CPU hot path: the matmul /
-// convolution / softmax kernels in src/tensor, the per-window reverse-diffusion
-// batches in ImDiffusionDetector::Run, and the independent (detector, seed)
-// runs in EvaluateManySeeds. Each parallel unit writes a disjoint output slice
-// and owns its randomness, so results are bitwise identical for every thread
-// count (see DESIGN.md "Threading model").
+// The compute pool (ComputePool()) parallelizes coarse, independent work: the
+// window chunks of seeded scoring (ImDiffusionDetector::ScoreChunks, one task
+// per chunk; the graph executor runs each chunk serially and never calls the
+// pool), the reverse-diffusion chunks of ImDiffusionDetector::Run, and the
+// independent (detector, seed) runs in EvaluateManySeeds. The src/tensor
+// matmul / convolution / softmax kernels also split rows across it, for
+// training and the layer-stack reference. Each parallel unit writes a
+// disjoint output slice and owns its randomness, so results are bitwise
+// identical for every thread count (see DESIGN.md "Threading model").
 //
 // Exception safety: a task that throws does not terminate the process or leak
 // pool bookkeeping; the first exception is captured and rethrown from Wait()

@@ -234,13 +234,18 @@ TEST(BenchmarkTest, MicroserviceLatencyStream) {
   EXPECT_GT(anomalous, 0);
 }
 
+// Every float comes back exactly, including ones that need more than the
+// stream's default six significant digits.
 TEST(CsvTest, WriteReadRoundTrip) {
   const std::string path = ::testing::TempDir() + "/data.csv";
-  WriteCsv(path, {"a", "b"}, {{1.5f, 2.5f}, {3.0f, 4.0f}});
+  WriteCsv(path, {"a", "b"},
+           {{1.5f, 2.5f}, {3.0f, 4.0f}, {0.1234567f, 1234567.9f}});
   auto rows = ReadCsv(path, /*skip_header=*/true);
-  ASSERT_EQ(rows.size(), 2u);
+  ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0][1], 2.5f);
   EXPECT_EQ(rows[1][0], 3.0f);
+  EXPECT_EQ(rows[2][0], 0.1234567f);
+  EXPECT_EQ(rows[2][1], 1234567.9f);
 }
 
 // A cell that is not one number is an error naming path:line:column, never

@@ -102,12 +102,16 @@ int64_t CounterValue(const char* name) {
   return MetricsRegistry::Global().GetCounter(name)->value();
 }
 
-// The first n windows of a [N, K, W] batch.
-Tensor FirstWindows(const Tensor& windows, int64_t n) {
+// n windows of a [N, K, W] batch: the first n, cycling through the batch
+// again when n > N.
+Tensor TakeWindows(const Tensor& windows, int64_t n) {
+  const int64_t per_window = windows.dim(1) * windows.dim(2);
   Tensor subset =
       Tensor::Uninitialized({n, windows.dim(1), windows.dim(2)});
-  std::copy_n(windows.data(), n * windows.dim(1) * windows.dim(2),
-              subset.mutable_data());
+  for (int64_t i = 0; i < n; ++i) {
+    std::copy_n(windows.data() + (i % windows.dim(0)) * per_window,
+                per_window, subset.mutable_data() + i * per_window);
+  }
   return subset;
 }
 
@@ -131,7 +135,7 @@ void ExpectGraphMatchesStackEverywhere(int64_t hidden) {
     simd::SetForceScalar(force_scalar);
     for (int level = 0; level <= 2; ++level) {
       for (const int64_t n : shapes) {
-        const Tensor subset = FirstWindows(plan.windows, n);
+        const Tensor subset = TakeWindows(plan.windows, n);
         const std::vector<uint64_t> seeds = SeedsFor(n);
         ExpectScoresBitwiseEqual(
             detector.ScoreWindowBatch(subset, seeds, level),
@@ -203,7 +207,7 @@ TEST_P(GraphVariantTest, BitwiseMatchesLegacyStackAtEveryRung) {
   // Five windows: one full chunk of infer_batch 4 plus a partial tail.
   const int64_t n = 5;
   ASSERT_GE(plan.windows.dim(0), n);
-  const Tensor subset = FirstWindows(plan.windows, n);
+  const Tensor subset = TakeWindows(plan.windows, n);
   const std::vector<uint64_t> seeds = SeedsFor(n);
   const bool scalar_before = simd::ForceScalar();
   for (const bool force_scalar : {false, true}) {
@@ -226,26 +230,22 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-// Property: the compute-thread count never changes a score. With infer_batch
-// 32 every batch below is one chunk, so the pool's threads split the kernels
-// themselves, and every split (row ranges in the graph, flat element ranges
-// in the stack) lands at a different point per thread count. Hidden 20 leaves
-// lane tails in every row kernel and in the FFN's GELU.
+// Property: the compute-thread count never changes a score. The pool splits
+// a batch into one chunk per thread of at most infer_batch (4) windows, and
+// each chunk runs serially, so the thread count moves only the chunk
+// boundaries, which a window's score must not see. n = 5 and 7 split into
+// uneven chunks at 2, 3 and 4 threads; n = 13 has more windows than
+// infer_batch x threads at 2 and 3 threads, so there the infer_batch cap sets
+// the chunk size. Hidden 20 leaves lane tails in every row kernel and in the
+// FFN's GELU.
 TEST(GraphExecutorTest, ScoresBitwiseIdenticalAcrossThreadCounts) {
-  static const ImDiffusionDetector* detector_ptr = [] {
-    ImDiffusionConfig config = GraphTinyConfig(17, 20);
-    config.infer_batch = 32;
-    auto* d = new ImDiffusionDetector(config);
-    d->Fit(GraphDataset().train);
-    return d;
-  }();
-  const ImDiffusionDetector& detector = *detector_ptr;
+  const ImDiffusionDetector& detector = SharedDetector(20);
   const MtsDataset data = GraphDataset();
   const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(data.test);
-  const int64_t total = plan.windows.dim(0);
+  ASSERT_EQ(detector.config().infer_batch, 4);
   const size_t threads_before = ComputeThreads();
-  for (const int64_t n : {int64_t{1}, int64_t{3}, total}) {
-    const Tensor subset = FirstWindows(plan.windows, n);
+  for (const int64_t n : {1, 3, 5, 7, 13}) {
+    const Tensor subset = TakeWindows(plan.windows, n);
     const std::vector<uint64_t> seeds = SeedsFor(n);
     for (const bool use_graph : {true, false}) {
       auto score = [&] {
@@ -262,6 +262,38 @@ TEST(GraphExecutorTest, ScoresBitwiseIdenticalAcrossThreadCounts) {
                 " threads=" + std::to_string(threads));
       }
     }
+  }
+  SetComputeThreads(threads_before);
+}
+
+// Property: ScoreChunks is the only parallel level of seeded scoring. Each
+// chunk is one pool task and the graph executor submits none of its own, so
+// a warm 1-window batch (one chunk, run inline by the caller) executes no
+// pool task and a batch of at most infer_batch x threads windows executes
+// one task per chunk, never more than the thread count.
+TEST(GraphExecutorTest, PoolRunsOneTaskPerChunk) {
+  const ImDiffusionDetector& detector = SharedDetector();
+  const MtsDataset data = GraphDataset();
+  const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(data.test);
+  ASSERT_EQ(detector.config().infer_batch, 4);
+  ASSERT_TRUE(MetricsEnabled());
+  const size_t threads_before = ComputeThreads();
+  SetComputeThreads(4);
+  Counter* const tasks =
+      MetricsRegistry::Global().GetCounter("pool.tasks_executed");
+  // (windows, chunks): 3 -> 1+1+1, 5 -> 2+2+1, 16 -> 4+4+4+4.
+  for (const auto& [n, chunks] :
+       {std::pair<int64_t, int64_t>{1, 1}, {3, 3}, {5, 3}, {16, 4}}) {
+    const Tensor subset = TakeWindows(plan.windows, n);
+    const std::vector<uint64_t> seeds = SeedsFor(n);
+    // A worker counts its task after the caller is released; Wait() returns
+    // once every count has landed, so each count is read after one.
+    detector.ScoreWindowBatch(subset, seeds, 0);  // captures every chunk size
+    ComputePool()->Wait();
+    const int64_t before = tasks->value();
+    detector.ScoreWindowBatch(subset, seeds, 0);
+    ComputePool()->Wait();
+    EXPECT_EQ(tasks->value() - before, chunks == 1 ? 0 : chunks) << "n=" << n;
   }
   SetComputeThreads(threads_before);
 }

@@ -244,58 +244,6 @@ void BM_GratingMask(benchmark::State& state) {
 }
 BENCHMARK(BM_GratingMask);
 
-// ---- Serial vs compute-pool comparisons ------------------------------------
-//
-// Arg(0) is the compute-pool thread count (1 = exact serial execution). The
-// parallel kernels write disjoint output slices, so every thread count
-// produces bitwise-identical results; compare the Arg(1) and Arg(4) rows for
-// the speedup. On a machine with a single usable core the rows coincide.
-
-void BM_MatMulPool(benchmark::State& state) {
-  SetComputeThreads(static_cast<size_t>(state.range(0)));
-  const int64_t n = state.range(1);
-  Rng rng(1);
-  Tensor a = Tensor::Randn({n, n}, rng);
-  Tensor b = Tensor::Randn({n, n}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MatMul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  SetComputeThreads(1);
-}
-BENCHMARK(BM_MatMulPool)
-    ->Args({1, 256})
-    ->Args({2, 256})
-    ->Args({4, 256})
-    ->Args({1, 512})
-    ->Args({4, 512})
-    ->UseRealTime();
-
-void BM_Conv1dPool(benchmark::State& state) {
-  SetComputeThreads(static_cast<size_t>(state.range(0)));
-  Rng rng(4);
-  Tensor x = Tensor::Randn({32, 16, 400}, rng);
-  Tensor w = Tensor::Randn({16, 16, 5}, rng);
-  Tensor bias = Tensor::Randn({16}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Conv1d(x, w, bias, 2));
-  }
-  SetComputeThreads(1);
-}
-BENCHMARK(BM_Conv1dPool)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_BatchedMatMulPool(benchmark::State& state) {
-  SetComputeThreads(static_cast<size_t>(state.range(0)));
-  Rng rng(2);
-  Tensor a = Tensor::Randn({64, 100, 24}, rng);
-  Tensor b = Tensor::Randn({64, 24, 100}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BatchedMatMul(a, b));
-  }
-  SetComputeThreads(1);
-}
-BENCHMARK(BM_BatchedMatMulPool)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
 // End-to-end ImDiffusion inference (reverse-diffusion imputation over all test
 // windows) with the chunk-level parallel loop on N threads. Fit runs once,
 // outside timing.
@@ -681,7 +629,8 @@ int RunKernelBench(const std::string& path) {
 
 // Exercises every instrumented phase once — training epochs, the reverse-
 // diffusion steps and window scoring of ImDiffusion inference, online block
-// scoring, and the thread-pool task path — then writes the registry snapshot.
+// scoring, and the thread-pool task path (seeded scoring's window chunks) —
+// then writes the registry snapshot.
 int RunMetricsSnapshot(const std::string& path) {
   SetComputeThreads(4);  // make the pool.* instruments load-bearing
 
@@ -701,6 +650,9 @@ int RunMetricsSnapshot(const std::string& path) {
   ImDiffusionDetector detector(config);
   detector.Fit(train);  // train.* histograms
   detector.Run(test);   // diffusion.step / detector.window_score histograms
+  // Run's 3 windows fit one infer_batch chunk, which runs inline; at 4
+  // threads ScoreChunks cuts them into 3 one-window pool tasks (pool.*).
+  detector.RunSeeded(test, 17);
 
   // Online block scoring (the paper's §6 timeliness signal).
   LstmAdConfig lstm;

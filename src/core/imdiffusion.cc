@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <numeric>
 
 #include "data/windowing.h"
@@ -737,6 +738,12 @@ ImDiffusionDetector::WindowPlan ImDiffusionDetector::PlanWindows(
   return plan;
 }
 
+int64_t ImDiffusionDetector::ChunkSize(int64_t num_windows) const {
+  const int64_t threads = static_cast<int64_t>(ComputeThreads());
+  return std::min<int64_t>(config_.infer_batch,
+                           (num_windows + threads - 1) / threads);
+}
+
 std::vector<ImDiffusionDetector::WindowScore> ImDiffusionDetector::ScoreChunks(
     const Tensor& windows, const std::vector<uint64_t>& seeds,
     const ChunkScorer& score_chunk) const {
@@ -760,9 +767,7 @@ std::vector<ImDiffusionDetector::WindowScore> ImDiffusionDetector::ScoreChunks(
   // serially on one pool thread. Chunks are sized so that a batch of fewer
   // than infer_batch x threads windows still fills the pool; a window's
   // score does not depend on which windows share its chunk.
-  const int64_t threads = static_cast<int64_t>(ComputeThreads());
-  const int64_t chunk_size = std::min<int64_t>(
-      config_.infer_batch, (num_windows + threads - 1) / threads);
+  const int64_t chunk_size = ChunkSize(num_windows);
   const int64_t num_chunks = (num_windows + chunk_size - 1) / chunk_size;
   Counter* const windows_scored =
       MetricsRegistry::Global().GetCounter("detector.windows_scored");
@@ -821,10 +826,46 @@ ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
     gcache = graph_cache_;
   }
 
-  return ScoreChunks(windows, seeds, [&](int64_t chunk, int64_t bsz,
-                                         ErrorRows* rows) {
-    std::unique_ptr<graph::GraphContext> ctx =
-        gcache->Acquire(bsz, degrade_level, [&]() {
+  // Before any chunk runs, reserve one context slot per chunk of each size
+  // that can run at once (min(chunks of that size, threads)), empty where the
+  // cache has no idle context. A chunk takes an empty slot first and captures
+  // into it, and all slots go back to the cache at the end. So a batch leaves
+  // the same contexts in the cache however its chunks overlapped, and the
+  // same batch again captures nothing.
+  using Slots = std::vector<std::unique_ptr<graph::GraphContext>>;
+  std::map<int64_t, Slots> slots;
+  const int64_t num_windows = windows.dim(0);
+  if (num_windows > 0) {
+    const int64_t chunk_size = ChunkSize(num_windows);
+    const int64_t threads = static_cast<int64_t>(ComputeThreads());
+    const int64_t tail = num_windows % chunk_size;
+    for (const auto& [bsz, count] :
+         {std::pair<int64_t, int64_t>{chunk_size, num_windows / chunk_size},
+          {tail, tail > 0 ? 1 : 0}}) {
+      for (int64_t i = 0; i < std::min(count, threads); ++i) {
+        slots[bsz].push_back(gcache->Acquire(bsz, degrade_level));
+      }
+    }
+    // Empty slots at the back, where chunks take from.
+    for (auto& [bsz, list] : slots) {
+      std::stable_partition(list.begin(), list.end(),
+                            [](const auto& ctx) { return ctx != nullptr; });
+    }
+  }
+  std::mutex slots_mu;
+
+  std::vector<WindowScore> result = ScoreChunks(
+      windows, seeds, [&](int64_t chunk, int64_t bsz, ErrorRows* rows) {
+        std::unique_ptr<graph::GraphContext> ctx;
+        {
+          std::lock_guard<std::mutex> lock(slots_mu);
+          Slots& list = slots.at(bsz);
+          if (!list.empty()) {
+            ctx = std::move(list.back());
+            list.pop_back();
+          }
+        }
+        if (ctx == nullptr) {
           const std::pair<Tensor, Tensor>& mp = masks();
           graph::DenoiserSpec spec;
           spec.model = model_.get();
@@ -838,12 +879,19 @@ ImDiffusionDetector::ScoreWindowBatch(const Tensor& windows,
           spec.conditional = config_.conditional;
           spec.stochastic_sampling = config_.stochastic_sampling;
           spec.score_on_x0 = config_.score_on_x0;
-          return std::make_unique<graph::GraphContext>(spec);
-        });
-    ctx->ScoreChunk(windows.data() + chunk * per_window, seeds.data() + chunk);
-    ErrorRowsFromDiff(ctx->step_diff(), bsz, chunk, rows);
-    gcache->Release(bsz, degrade_level, std::move(ctx));
-  });
+          ctx = std::make_unique<graph::GraphContext>(spec);
+        }
+        ctx->ScoreChunk(windows.data() + chunk * per_window,
+                        seeds.data() + chunk);
+        ErrorRowsFromDiff(ctx->step_diff(), bsz, chunk, rows);
+        std::lock_guard<std::mutex> lock(slots_mu);
+        Slots& list = slots.at(bsz);
+        list.insert(list.begin(), std::move(ctx));
+      });
+  for (auto& [bsz, list] : slots) {
+    for (auto& ctx : list) gcache->Release(bsz, degrade_level, std::move(ctx));
+  }
+  return result;
 }
 
 std::vector<ImDiffusionDetector::WindowScore>

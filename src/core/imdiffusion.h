@@ -266,6 +266,8 @@ class ImDiffusionDetector : public AnomalyDetector {
   // the compute pool, and gathers the rows into per-window scores.
   using ChunkScorer =
       std::function<void(int64_t chunk, int64_t bsz, ErrorRows* rows)>;
+  // Windows per ScoreChunks chunk: min(infer_batch, ceil(n / threads)).
+  int64_t ChunkSize(int64_t num_windows) const;
   std::vector<WindowScore> ScoreChunks(const Tensor& windows,
                                        const std::vector<uint64_t>& seeds,
                                        const ChunkScorer& score_chunk) const;

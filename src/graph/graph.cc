@@ -1174,18 +1174,13 @@ const std::vector<Tensor>& GraphContext::step_diff() const {
 size_t GraphContext::plan_bytes() const { return impl_->plan_bytes(); }
 
 std::unique_ptr<GraphContext> GraphCache::Acquire(int64_t bsz,
-                                                  int degrade_level,
-                                                  const Factory& make) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = pool_.find({bsz, degrade_level});
-    if (it != pool_.end() && !it->second.empty()) {
-      std::unique_ptr<GraphContext> ctx = std::move(it->second.back());
-      it->second.pop_back();
-      return ctx;
-    }
-  }
-  return make();
+                                                  int degrade_level) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = pool_.find({bsz, degrade_level});
+  if (it == pool_.end() || it->second.empty()) return nullptr;
+  std::unique_ptr<GraphContext> ctx = std::move(it->second.back());
+  it->second.pop_back();
+  return ctx;
 }
 
 void GraphCache::Release(int64_t bsz, int degrade_level,

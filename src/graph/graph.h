@@ -39,7 +39,6 @@
 #define IMDIFF_GRAPH_GRAPH_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -104,11 +103,8 @@ class GraphContext {
 // cache (the detector swaps in a fresh GraphCache when its model changes).
 class GraphCache {
  public:
-  using Factory = std::function<std::unique_ptr<GraphContext>()>;
-
-  // Returns an idle context for the key, or captures a new one via `make`.
-  std::unique_ptr<GraphContext> Acquire(int64_t bsz, int degrade_level,
-                                        const Factory& make);
+  // Returns an idle context for the key, or null when none is idle.
+  std::unique_ptr<GraphContext> Acquire(int64_t bsz, int degrade_level);
   // Returns a context to the pool.
   void Release(int64_t bsz, int degrade_level,
                std::unique_ptr<GraphContext> ctx);

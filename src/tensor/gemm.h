@@ -4,11 +4,12 @@
 // tensor_ops.cc — not reimplementations. The executor calls them directly so
 // captured graphs produce bit-identical floats to the layer stack: a given
 // output element's FMA sequence depends only on (m, k, n) and the element's
-// inputs, never on row grouping, thread partition, or whether the b operand
-// was packed per-call or prepacked at capture (packing is pure data
-// movement). What the executor adds is memory control: caller-provided
-// scratch and capture-time weight prepacking, so steady-state scoring issues
-// zero arena free-list requests.
+// inputs, never on row grouping or whether the b operand was packed per-call
+// or prepacked at capture (packing is pure data movement). What the executor
+// adds is memory control: caller-provided scratch and capture-time weight
+// prepacking, so steady-state scoring issues zero arena free-list requests.
+// Every kernel here runs serially on its calling thread; parallelism lives
+// one level up, in the window chunks of detector scoring.
 
 #ifndef IMDIFF_TENSOR_GEMM_H_
 #define IMDIFF_TENSOR_GEMM_H_
@@ -20,21 +21,6 @@
 
 namespace imdiff {
 namespace gemm {
-
-// Minimum flops a ParallelForRange chunk should carry before the kernels
-// split work across the compute pool; below this, task overhead dominates.
-constexpr int64_t kGrainFlops = 16384;
-
-// Rows [begin, end) of a grain computed so that each parallel chunk holds at
-// least kGrainFlops worth of per-row work.
-inline size_t RowGrain(int64_t flops_per_row) {
-  const int64_t f = flops_per_row < 1 ? 1 : flops_per_row;
-  const int64_t g = kGrainFlops / f;
-  return static_cast<size_t>(g < 1 ? 1 : g);
-}
-
-// Grain for flat elementwise kernels (~4 flops per element assumed).
-constexpr size_t kElementGrain = 4096;
 
 // Rows of the a operand the vector microkernel processes per call.
 constexpr int64_t kMR = 4;
@@ -100,9 +86,10 @@ void GemmRowsPrepacked(const float* a, const float* packed_b, float* c,
 
 #endif  // IMDIFF_SIMD_ANY
 
-// Full 2D matmul into caller memory with the exact dispatch and compute-pool
-// partitioning of MatMul (tensor_ops.cc): packed vector kernel when
-// simd::Enabled(), scalar reference otherwise. c may arrive uninitialized.
+// Full 2D matmul into caller memory with the exact dispatch of MatMul
+// (tensor_ops.cc): packed vector kernel when simd::Enabled(), scalar
+// reference otherwise. One serial pass on the calling thread; c may arrive
+// uninitialized.
 void MatMulInto(const float* a, const float* b, float* c, int64_t m, int64_t k,
                 int64_t n, bool ta, bool tb);
 

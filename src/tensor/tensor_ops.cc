@@ -7,15 +7,9 @@
 #include "tensor/arena.h"
 #include "tensor/gemm.h"
 #include "tensor/simd.h"
-#include "utils/thread_pool.h"
 
 namespace imdiff {
 namespace {
-
-// Work-partitioning grains are shared with the inference graph executor
-// through tensor/gemm.h so both paths split identically.
-using gemm::kElementGrain;
-using gemm::RowGrain;
 
 // Computes row-major strides for a shape.
 std::vector<int64_t> Strides(const Shape& shape) {
@@ -31,16 +25,16 @@ std::vector<int64_t> Strides(const Shape& shape) {
 // The vectorized path is a packed, register-tiled kernel: the b operand is
 // packed one NR-wide column panel at a time into [k, NR] layout (zero-padded
 // on the right edge), which collapses the transpose_b distinction, and a
-// transposed a is packed to contiguous rows once per worker range, collapsing
+// transposed a is packed to contiguous rows once per call, collapsing
 // transpose_a. The microkernel then accumulates an MR x NR tile entirely in
 // registers over the full reduction dim and stores each output element exactly
 // once — so outputs may be allocated uninitialized.
 //
 // Determinism: packing is pure data movement, and each output row's FMA
 // sequence (p ascending within its column panel) depends only on (m, k, n),
-// never on how rows are grouped into tiles or split across workers. Results
-// are therefore bitwise identical for any thread count and any batch
-// composition, as required by the serving-path invariants.
+// never on how rows are grouped into tiles or row ranges. Results are
+// therefore bitwise identical for any thread count and any batch composition,
+// as required by the serving-path invariants.
 
 // Tile constants are shared with the graph executor through tensor/gemm.h.
 using gemm::kMR;
@@ -187,7 +181,7 @@ void GemmRowsPackedScratch(const float* a, const float* b, float* c, int64_t m,
   const int64_t rows = row_end - row_begin;
   if (rows <= 0 || n <= 0) return;
   // Transposed a ([k, m] physical) is packed to contiguous rows once per
-  // worker range; afterwards both layouts feed the microkernel identically.
+  // call; afterwards both layouts feed the microkernel identically.
   if (ta) {
     for (int64_t r = 0; r < rows; ++r) {
       float* dst = apack + r * k;
@@ -314,38 +308,21 @@ void MatMulRowsScalar(const float* a, const float* b, float* c, int64_t m,
   }
 }
 
-// Full 2D matmul into an uninitialized c, parallelized over output rows on the
-// compute pool. Nested calls (e.g. from a batch-level parallel section) run
-// inline.
+// Full 2D matmul into an uninitialized c, one serial pass over all m rows.
 void MatMulInto(const float* a, const float* b, float* c, int64_t m, int64_t k,
                 int64_t n, bool ta, bool tb) {
 #if defined(IMDIFF_SIMD_ANY)
   if (simd::Enabled()) {
-    ParallelForRange(ComputePool(), static_cast<size_t>(m), RowGrain(2 * k * n),
-                     [&](size_t begin, size_t end) {
-                       const int64_t rows = static_cast<int64_t>(end - begin);
-                       ArenaBuffer apack(ta ? static_cast<size_t>(rows * k)
-                                            : 0);
-                       ArenaBuffer bpack(PanelFloats(k));
-                       GemmRowsPackedScratch(a, b, c, m, k, n, ta, tb,
-                                             static_cast<int64_t>(begin),
-                                             static_cast<int64_t>(end),
-                                             bpack.data(), apack.data());
-                     });
+    ArenaBuffer apack(ta ? static_cast<size_t>(m * k) : 0);
+    ArenaBuffer bpack(PanelFloats(k));
+    GemmRowsPackedScratch(a, b, c, m, k, n, ta, tb, 0, m, bpack.data(),
+                          apack.data());
     return;
   }
 #endif
-  ParallelForRange(ComputePool(), static_cast<size_t>(m), RowGrain(2 * k * n),
-                   [&](size_t begin, size_t end) {
-                     // The scalar kernel accumulates, so zero exactly the rows
-                     // this worker owns (c arrives uninitialized).
-                     std::memset(c + static_cast<int64_t>(begin) * n, 0,
-                                 sizeof(float) * static_cast<size_t>(
-                                                     (end - begin) * n));
-                     MatMulRowsScalar(a, b, c, m, k, n, ta, tb,
-                                      static_cast<int64_t>(begin),
-                                      static_cast<int64_t>(end));
-                   });
+  // The scalar kernel accumulates (c arrives uninitialized).
+  std::memset(c, 0, sizeof(float) * static_cast<size_t>(m * n));
+  MatMulRowsScalar(a, b, c, m, k, n, ta, tb, 0, m);
 }
 
 }  // namespace gemm
@@ -382,19 +359,13 @@ Tensor BatchedMatMul(const Tensor& a, const Tensor& b, bool transpose_a,
   const int64_t a_step = a.dim(1) * a.dim(2);
   const int64_t b_step = b.dim(1) * b.dim(2);
   const int64_t c_step = m * n;
-  // Batch-level parallelism; the per-batch matmul detects it is running
-  // on a pool worker and computes its rows inline.
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.mutable_data();
-  ParallelFor(
-      ComputePool(), static_cast<size_t>(batch),
-      [&](size_t idx) {
-        const int64_t i = static_cast<int64_t>(idx);
-        gemm::MatMulInto(pa + i * a_step, pb + i * b_step, pc + i * c_step, m,
-                         k, n, transpose_a, transpose_b);
-      },
-      gemm::RowGrain(2 * m * k * n));
+  for (int64_t i = 0; i < batch; ++i) {
+    gemm::MatMulInto(pa + i * a_step, pb + i * b_step, pc + i * c_step, m, k,
+                     n, transpose_a, transpose_b);
+  }
   return c;
 }
 
@@ -534,20 +505,11 @@ Tensor Map(const Tensor& a, const std::function<float(float)>& f) {
 
 namespace {
 
-// Parallel elementwise dispatch for the fused activation kernels. The simd
-// kernels are position-independent (scalar tails replicate the lane
-// arithmetic), so splitting the flat range at arbitrary points is bitwise
-// safe.
+// Elementwise dispatch for the fused activation kernels over the flat range.
 template <typename Kernel>
 Tensor ElementwiseUnary(const Tensor& x, Kernel kernel) {
   Tensor out = Tensor::Uninitialized(x.shape());
-  const float* px = x.data();
-  float* po = out.mutable_data();
-  ParallelForRange(ComputePool(), static_cast<size_t>(x.numel()),
-                   kElementGrain, [&](size_t begin, size_t end) {
-                     kernel(po + begin, px + begin,
-                            static_cast<int64_t>(end - begin));
-                   });
+  kernel(out.mutable_data(), x.data(), x.numel());
   return out;
 }
 
@@ -556,14 +518,7 @@ Tensor ElementwiseUnaryGrad(const Tensor& x, const Tensor& grad,
                             Kernel kernel) {
   IMDIFF_CHECK(x.shape() == grad.shape());
   Tensor out = Tensor::Uninitialized(x.shape());
-  const float* px = x.data();
-  const float* pg = grad.data();
-  float* po = out.mutable_data();
-  ParallelForRange(ComputePool(), static_cast<size_t>(x.numel()),
-                   kElementGrain, [&](size_t begin, size_t end) {
-                     kernel(po + begin, px + begin, pg + begin,
-                            static_cast<int64_t>(end - begin));
-                   });
+  kernel(out.mutable_data(), x.data(), grad.data(), x.numel());
   return out;
 }
 
@@ -617,16 +572,7 @@ Tensor GateForward(const Tensor& fg) {
   Shape shape = fg.shape();
   shape.back() = d;
   Tensor out = Tensor::Uninitialized(shape);
-  const float* pfg = fg.data();
-  float* po = out.mutable_data();
-  // The row kernels are position-independent, so the row partition cannot
-  // affect results.
-  ParallelForRange(ComputePool(), static_cast<size_t>(rows), RowGrain(8 * d),
-                   [&](size_t begin, size_t end) {
-                     const auto r0 = static_cast<int64_t>(begin);
-                     simd::GateRowsInto(po + r0 * d, pfg + r0 * two_d,
-                                        static_cast<int64_t>(end) - r0, d);
-                   });
+  simd::GateRowsInto(out.mutable_data(), fg.data(), rows, d);
   return out;
 }
 
@@ -636,16 +582,7 @@ Tensor GateBackward(const Tensor& fg, const Tensor& grad) {
   const int64_t rows = d > 0 ? fg.numel() / two_d : 0;
   IMDIFF_CHECK_EQ(grad.numel(), rows * d);
   Tensor out = Tensor::Uninitialized(fg.shape());
-  const float* pfg = fg.data();
-  const float* pg = grad.data();
-  float* po = out.mutable_data();
-  ParallelForRange(ComputePool(), static_cast<size_t>(rows), RowGrain(8 * d),
-                   [&](size_t begin, size_t end) {
-                     const auto r0 = static_cast<int64_t>(begin);
-                     simd::GateGradRowsInto(po + r0 * two_d, pfg + r0 * two_d,
-                                            pg + r0 * d,
-                                            static_cast<int64_t>(end) - r0, d);
-                   });
+  simd::GateGradRowsInto(out.mutable_data(), fg.data(), grad.data(), rows, d);
   return out;
 }
 
@@ -666,23 +603,16 @@ void LayerNormForward(const Tensor& x, const Tensor& gamma, const Tensor& beta,
   float* ph = xhat->mutable_data();
   float* ps = inv_std->mutable_data();
   const float inv_n = 1.0f / static_cast<float>(last);
-  // Row-local: every value a row produces is a function of that row alone, so
-  // the row partition cannot affect results.
-  ParallelForRange(
-      ComputePool(), static_cast<size_t>(rows), RowGrain(8 * last),
-      [&](size_t begin, size_t end) {
-        for (int64_t r = static_cast<int64_t>(begin);
-             r < static_cast<int64_t>(end); ++r) {
-          const float* row = px + r * last;
-          const float mean = simd::Sum(row, last) * inv_n;
-          const float var = simd::SqDiffSum(row, mean, last) * inv_n;
-          const float is = 1.0f / std::sqrt(var + eps);
-          float* hrow = ph + r * last;
-          simd::ScaledDiffInto(hrow, row, mean, is, last);
-          simd::FmaInto(py + r * last, hrow, pg, pb, last);
-          ps[r] = is;
-        }
-      });
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* row = px + r * last;
+    const float mean = simd::Sum(row, last) * inv_n;
+    const float var = simd::SqDiffSum(row, mean, last) * inv_n;
+    const float is = 1.0f / std::sqrt(var + eps);
+    float* hrow = ph + r * last;
+    simd::ScaledDiffInto(hrow, row, mean, is, last);
+    simd::FmaInto(py + r * last, hrow, pg, pb, last);
+    ps[r] = is;
+  }
 }
 
 Tensor Permute(const Tensor& t, const std::vector<size_t>& perm) {
@@ -796,19 +726,14 @@ Tensor SoftmaxLastDim(const Tensor& t) {
   const float* pin = t.data();
   float* pout = out.mutable_data();
   // Fused max / exp+sum / scale passes on the vector kernels; row-local, so
-  // results are independent of the row partition and of where a row sits in
-  // the batch.
-  ParallelForRange(ComputePool(), static_cast<size_t>(rows), RowGrain(8 * last),
-                   [&](size_t begin, size_t end) {
-                     for (int64_t r = static_cast<int64_t>(begin);
-                          r < static_cast<int64_t>(end); ++r) {
-                       const float* row = pin + r * last;
-                       float* orow = pout + r * last;
-                       const float mx = simd::MaxReduce(row, last);
-                       const float sum = simd::ExpSumInto(orow, row, mx, last);
-                       simd::ScaleInPlace(orow, 1.0f / sum, last);
-                     }
-                   });
+  // results are independent of where a row sits in the batch.
+  for (int64_t r = 0; r < rows; ++r) {
+    const float* row = pin + r * last;
+    float* orow = pout + r * last;
+    const float mx = simd::MaxReduce(row, last);
+    const float sum = simd::ExpSumInto(orow, row, mx, last);
+    simd::ScaleInPlace(orow, 1.0f / sum, last);
+  }
   return out;
 }
 
@@ -870,35 +795,29 @@ Tensor Conv1d(const Tensor& x, const Tensor& w, const Tensor& bias, int pad) {
     IMDIFF_CHECK_EQ(bias.numel(), cout);
   }
   const float* pb = has_bias ? bias.data() : nullptr;
-  // Each batch element writes its own [cout, lout] output block, so the batch
-  // loop parallelizes with bitwise-identical results for any thread count.
-  ParallelFor(
-      ComputePool(), static_cast<size_t>(batch),
-      [&](size_t idx) {
-        const int64_t b = static_cast<int64_t>(idx);
-        for (int64_t co = 0; co < cout; ++co) {
-          float* yrow = py + (b * cout + co) * lout;
-          if (has_bias) {
-            const float bv = pb[co];
-            for (int64_t l = 0; l < lout; ++l) yrow[l] = bv;
-          } else {
-            std::memset(yrow, 0, sizeof(float) * static_cast<size_t>(lout));
-          }
-          for (int64_t ci = 0; ci < cin; ++ci) {
-            const float* xrow = px + (b * cin + ci) * length;
-            const float* wrow = pw + (co * cin + ci) * kernel;
-            for (int64_t kk = 0; kk < kernel; ++kk) {
-              const float wv = wrow[kk];
-              if (wv == 0.0f) continue;
-              const int64_t in_off = kk - pad;
-              const int64_t l_lo = std::max<int64_t>(0, -in_off);
-              const int64_t l_hi = std::min<int64_t>(lout, length - in_off);
-              simd::Axpy(wv, xrow + l_lo + in_off, yrow + l_lo, l_hi - l_lo);
-            }
-          }
+  for (int64_t b = 0; b < batch; ++b) {
+    for (int64_t co = 0; co < cout; ++co) {
+      float* yrow = py + (b * cout + co) * lout;
+      if (has_bias) {
+        const float bv = pb[co];
+        for (int64_t l = 0; l < lout; ++l) yrow[l] = bv;
+      } else {
+        std::memset(yrow, 0, sizeof(float) * static_cast<size_t>(lout));
+      }
+      for (int64_t ci = 0; ci < cin; ++ci) {
+        const float* xrow = px + (b * cin + ci) * length;
+        const float* wrow = pw + (co * cin + ci) * kernel;
+        for (int64_t kk = 0; kk < kernel; ++kk) {
+          const float wv = wrow[kk];
+          if (wv == 0.0f) continue;
+          const int64_t in_off = kk - pad;
+          const int64_t l_lo = std::max<int64_t>(0, -in_off);
+          const int64_t l_hi = std::min<int64_t>(lout, length - in_off);
+          simd::Axpy(wv, xrow + l_lo + in_off, yrow + l_lo, l_hi - l_lo);
         }
-      },
-      RowGrain(2 * cout * cin * kernel * lout));
+      }
+    }
+  }
   return y;
 }
 

@@ -1,6 +1,5 @@
 #include "utils/thread_pool.h"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -20,9 +19,9 @@ namespace {
 // running on this pool and fall back to inline execution.
 thread_local ThreadPool* tls_worker_pool = nullptr;
 
-// Registry handles for the pool instrumentation, resolved once. Tasks are
-// chunk-granular (at most 4 × threads per ParallelFor), so the two clock
-// reads per task are noise next to the chunk's work.
+// Registry handles for the pool instrumentation, resolved once. Every task is
+// a window chunk or a whole seed run, so the two clock reads per task are
+// noise next to its work.
 struct PoolMetrics {
   Counter* tasks_executed;
   Histogram* queue_wait_seconds;
@@ -64,6 +63,10 @@ ThreadPool::~ThreadPool() {
 void ThreadPool::Submit(std::function<void()> task) {
   Task entry;
   entry.fn = std::move(task);
+  Enqueue(std::move(entry));
+}
+
+void ThreadPool::Enqueue(Task entry) {
   entry.timed = MetricsEnabled();
   if (entry.timed) entry.enqueue = std::chrono::steady_clock::now();
   {
@@ -122,6 +125,12 @@ void ThreadPool::WorkerLoop() {
               .count());
       GetPoolMetrics().tasks_executed->Increment();
     }
+    // The task is recorded before `done` can release a ParallelFor caller, so
+    // a metrics read taken after ParallelFor returns sees every task.
+    if (task.done) {
+      task.done(error);
+      error = nullptr;
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (error && !first_error_) first_error_ = error;
@@ -134,7 +143,7 @@ void ThreadPool::WorkerLoop() {
 namespace {
 
 // Per-ParallelFor countdown latch. Each call owns one, so concurrent calls on
-// the same pool wait only for their own chunks (a global in-flight counter
+// the same pool wait only for their own tasks (a global in-flight counter
 // would make caller A block on caller B's tasks), and body exceptions are
 // routed to the issuing caller rather than to whoever calls Pool::Wait next.
 struct LatchState {
@@ -164,42 +173,20 @@ struct LatchState {
 
 }  // namespace
 
-void ParallelForRange(ThreadPool* pool, size_t n, size_t grain,
-                      const std::function<void(size_t, size_t)>& body) {
-  if (n == 0) return;
-  if (grain == 0) grain = 1;
-  if (pool == nullptr || pool->num_threads() <= 1 || n <= grain ||
-      pool->InWorkerThread()) {
-    body(0, n);
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& body) {
+  if (pool == nullptr || n <= 1 || pool->InWorkerThread()) {
+    for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
-  // Cap the chunk count at a small multiple of the thread count: enough
-  // slack for load balancing without per-index submission overhead.
-  const size_t max_chunks = pool->num_threads() * 4;
-  const size_t chunk =
-      std::max(grain, (n + max_chunks - 1) / max_chunks);
-  const size_t num_chunks = (n + chunk - 1) / chunk;
-  auto state = std::make_shared<LatchState>(num_chunks);
-  for (size_t begin = 0; begin < n; begin += chunk) {
-    const size_t end = std::min(n, begin + chunk);
-    pool->Submit([state, begin, end, &body] {
-      std::exception_ptr error;
-      try {
-        body(begin, end);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      state->Finish(error);
-    });
+  auto state = std::make_shared<LatchState>(n);
+  for (size_t i = 0; i < n; ++i) {
+    ThreadPool::Task task;
+    task.fn = [i, &body] { body(i); };
+    task.done = [state](std::exception_ptr e) { state->Finish(e); };
+    pool->Enqueue(std::move(task));
   }
   state->WaitAndRethrow();
-}
-
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& body, size_t grain) {
-  ParallelForRange(pool, n, grain, [&body](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) body(i);
-  });
 }
 
 namespace {

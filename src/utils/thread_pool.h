@@ -1,15 +1,14 @@
-// Fixed-size thread pool with chunked ParallelFor helpers and a process-wide
-// compute pool.
+// Fixed-size thread pool with a ParallelFor helper and a process-wide compute
+// pool.
 //
-// The compute pool (ComputePool()) parallelizes coarse, independent work: the
-// window chunks of seeded scoring (ImDiffusionDetector::ScoreChunks, one task
-// per chunk; the graph executor runs each chunk serially and never calls the
-// pool), the reverse-diffusion chunks of ImDiffusionDetector::Run, and the
-// independent (detector, seed) runs in EvaluateManySeeds. The src/tensor
-// matmul / convolution / softmax kernels also split rows across it, for
-// training and the layer-stack reference. Each parallel unit writes a
-// disjoint output slice and owns its randomness, so results are bitwise
-// identical for every thread count (see DESIGN.md "Threading model").
+// The compute pool (ComputePool()) parallelizes coarse, independent work and
+// nothing else: the window chunks of seeded scoring
+// (ImDiffusionDetector::ScoreChunks), the reverse-diffusion chunks of
+// ImDiffusionDetector::Run, and the independent (detector, seed) runs in
+// EvaluateManySeeds. The graph executor and the src/tensor kernels are plain
+// serial loops, so training runs on its calling thread. Each parallel unit
+// writes a disjoint output slice and owns its randomness, so results are
+// bitwise identical for every thread count (see DESIGN.md "Threading model").
 //
 // Exception safety: a task that throws does not terminate the process or leak
 // pool bookkeeping; the first exception is captured and rethrown from Wait()
@@ -58,15 +57,23 @@ class ThreadPool {
   size_t num_threads() const { return workers_.size(); }
 
  private:
+  friend void ParallelFor(ThreadPool* pool, size_t n,
+                          const std::function<void(size_t)>& body);
+
   // One queued unit of work. `enqueue` stamps Submit() time when metrics
   // collection is enabled (see utils/metrics.h) so queue wait and task
-  // execution latency aggregate into the pool.* instruments.
+  // execution latency aggregate into the pool.* instruments. `done`, when
+  // set, receives the exception `fn` threw (or null) after the task is
+  // recorded, instead of the pool's Wait(); ParallelFor counts down its latch
+  // there.
   struct Task {
     std::function<void()> fn;
+    std::function<void(std::exception_ptr)> done;
     std::chrono::steady_clock::time_point enqueue{};
     bool timed = false;
   };
 
+  void Enqueue(Task entry);
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
@@ -79,23 +86,17 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// Runs body(i) for i in [0, n) across the pool, blocking until all complete.
-// Indices are grouped into chunks of at least `grain` so tiny loops do not
-// drown in task overhead. Runs inline (and in index order) when the pool is
-// null, has a single thread, the loop fits one chunk, or the caller is itself
-// a pool worker. Each call waits on its own countdown latch, so concurrent
-// and nested ParallelFor calls on one pool neither deadlock nor over-wait.
-// The first exception thrown by `body` is rethrown to the caller.
+// Runs body(i) for i in [0, n) across the pool as one task per index,
+// blocking until all complete; each index should carry a window chunk's or a
+// seed run's worth of work. Runs inline (and in index order) when the pool is
+// null, n == 1, or the caller is itself a pool worker. Each call waits on its
+// own countdown latch, so concurrent and nested ParallelFor calls on one pool
+// neither deadlock nor over-wait. The first exception thrown by `body` is
+// rethrown to the caller.
 void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& body, size_t grain = 1);
+                 const std::function<void(size_t)>& body);
 
-// Chunked variant: runs body(begin, end) over disjoint subranges covering
-// [0, n), each of at least `grain` indices. Prefer this in kernels where the
-// per-index dispatch of ParallelFor would dominate the work.
-void ParallelForRange(ThreadPool* pool, size_t n, size_t grain,
-                      const std::function<void(size_t, size_t)>& body);
-
-// Process-wide compute pool shared by the tensor kernels and the evaluation
+// Process-wide compute pool shared by detector scoring and the evaluation
 // harness. Thread count comes from IMDIFF_NUM_THREADS (default:
 // hardware_concurrency); a value that is not a whole positive integer aborts
 // naming the variable. Returns nullptr when the count is 1 — the exact

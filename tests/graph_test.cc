@@ -286,13 +286,9 @@ TEST(GraphExecutorTest, PoolRunsOneTaskPerChunk) {
        {std::pair<int64_t, int64_t>{1, 1}, {3, 3}, {5, 3}, {16, 4}}) {
     const Tensor subset = TakeWindows(plan.windows, n);
     const std::vector<uint64_t> seeds = SeedsFor(n);
-    // A worker counts its task after the caller is released; Wait() returns
-    // once every count has landed, so each count is read after one.
     detector.ScoreWindowBatch(subset, seeds, 0);  // captures every chunk size
-    ComputePool()->Wait();
     const int64_t before = tasks->value();
     detector.ScoreWindowBatch(subset, seeds, 0);
-    ComputePool()->Wait();
     EXPECT_EQ(tasks->value() - before, chunks == 1 ? 0 : chunks) << "n=" << n;
   }
   SetComputeThreads(threads_before);
@@ -353,6 +349,27 @@ TEST(GraphExecutorTest, ModelHotSwapInvalidatesAndRetraces) {
   ExpectScoresBitwiseEqual(
       after, detector.ScoreWindowBatchOnStack(plan.windows, seeds, 0),
       "post-swap vs stack");
+}
+
+// The contexts a batch leaves in the cache do not depend on how its chunks
+// overlapped. A first pass issued from a pool worker runs its 4 chunks one
+// after another (a nested ParallelFor runs inline), yet it captures every
+// context the concurrent repeat needs, so the repeat captures nothing.
+TEST(GraphExecutorTest, CapturesDoNotDependOnChunkOverlap) {
+  const MtsDataset data = GraphDataset();
+  ImDiffusionDetector detector(GraphTinyConfig(29));
+  detector.Fit(data.train);
+  const size_t threads_before = ComputeThreads();
+  SetComputeThreads(4);
+  const ImDiffusionDetector::WindowPlan plan = detector.PlanWindows(data.test);
+  const Tensor subset = TakeWindows(plan.windows, 16);
+  const std::vector<uint64_t> seeds = SeedsFor(16);
+  ComputePool()->Submit([&] { detector.ScoreWindowBatch(subset, seeds, 0); });
+  ComputePool()->Wait();
+  const int64_t captures = CounterValue("graph.captures");
+  detector.ScoreWindowBatch(subset, seeds, 0);
+  EXPECT_EQ(CounterValue("graph.captures"), captures);
+  SetComputeThreads(threads_before);
 }
 
 // graph.op_seconds.<op> must account for the chunk: every op kind of the

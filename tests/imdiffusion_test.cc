@@ -8,6 +8,7 @@
 #include "data/dataset.h"
 #include "data/synthetic.h"
 #include "metrics/classification.h"
+#include "utils/metrics.h"
 #include "utils/thread_pool.h"
 
 namespace imdiff {
@@ -279,6 +280,35 @@ TEST(ImDiffusionTest, ScoresBitwiseIdenticalAcrossThreadCounts) {
         << "score diverged at position " << i;
   }
   EXPECT_EQ(serial_result.labels, parallel_result.labels);
+}
+
+// Training is serial on its calling thread: the tensor kernels are plain
+// loops, so Fit at 4 compute threads submits no pool task and its loss history
+// is bitwise the 1-thread history.
+TEST(ImDiffusionTest, FitRunsNoPoolTaskAndIsBitwiseIdenticalAcrossThreadCounts) {
+  ASSERT_TRUE(MetricsEnabled());
+  MtsDataset ds = NormalizeDataset(EasyDataset(35));
+  Counter* const tasks =
+      MetricsRegistry::Global().GetCounter("pool.tasks_executed");
+
+  SetComputeThreads(1);
+  ImDiffusionDetector serial(TinyConfig(36));
+  serial.Fit(ds.train);
+
+  SetComputeThreads(4);
+  ImDiffusionDetector parallel(TinyConfig(36));
+  const int64_t before = tasks->value();
+  parallel.Fit(ds.train);
+  const int64_t fit_tasks = tasks->value() - before;
+  SetComputeThreads(1);
+
+  EXPECT_EQ(fit_tasks, 0);
+  const std::vector<float>& serial_loss = serial.train_loss_history();
+  const std::vector<float>& parallel_loss = parallel.train_loss_history();
+  ASSERT_EQ(serial_loss.size(), parallel_loss.size());
+  for (size_t i = 0; i < serial_loss.size(); ++i) {
+    ASSERT_EQ(serial_loss[i], parallel_loss[i]) << "epoch " << i;
+  }
 }
 
 // Same contract for the stochastic (ancestral DDPM) sampler: the per-chain

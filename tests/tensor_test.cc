@@ -6,7 +6,6 @@
 #include "tensor/tensor.h"
 #include "tensor/tensor_ops.h"
 #include "utils/rng.h"
-#include "utils/thread_pool.h"
 
 namespace imdiff {
 namespace {
@@ -314,71 +313,6 @@ TEST_P(ElementwiseShapeTest, ScaleMapAddScalar) {
 INSTANTIATE_TEST_SUITE_P(Shapes, ElementwiseShapeTest,
                          ::testing::Values(Shape{1}, Shape{7}, Shape{2, 3},
                                            Shape{2, 3, 4}, Shape{1, 1, 5, 2}));
-
-// The parallel kernels split work over disjoint output slices, so every
-// thread count must produce bitwise-identical results. Runs each kernel with
-// the serial compute pool and with 4 threads and compares exactly.
-class ParallelKernelTest : public ::testing::Test {
- protected:
-  void TearDown() override { SetComputeThreads(1); }
-
-  static void ExpectBitwiseEqual(const Tensor& a, const Tensor& b) {
-    ASSERT_EQ(a.shape(), b.shape());
-    for (int64_t i = 0; i < a.numel(); ++i) {
-      ASSERT_EQ(a.flat(i), b.flat(i)) << "at flat index " << i;
-    }
-  }
-};
-
-TEST_F(ParallelKernelTest, MatMulBitwiseIdenticalAcrossThreadCounts) {
-  Rng rng(21);
-  Tensor a = Tensor::Randn({37, 29}, rng);
-  Tensor b = Tensor::Randn({29, 41}, rng);
-  for (const bool ta : {false, true}) {
-    for (const bool tb : {false, true}) {
-      const Tensor lhs = ta ? Tensor::Randn({29, 37}, rng) : a;
-      const Tensor rhs = tb ? Tensor::Randn({41, 29}, rng) : b;
-      SetComputeThreads(1);
-      Tensor serial = MatMul(lhs, rhs, ta, tb);
-      SetComputeThreads(4);
-      Tensor parallel = MatMul(lhs, rhs, ta, tb);
-      ExpectBitwiseEqual(serial, parallel);
-    }
-  }
-}
-
-TEST_F(ParallelKernelTest, BatchedMatMulBitwiseIdenticalAcrossThreadCounts) {
-  Rng rng(22);
-  Tensor a = Tensor::Randn({6, 17, 13}, rng);
-  Tensor b = Tensor::Randn({6, 13, 19}, rng);
-  SetComputeThreads(1);
-  Tensor serial = BatchedMatMul(a, b);
-  SetComputeThreads(4);
-  Tensor parallel = BatchedMatMul(a, b);
-  ExpectBitwiseEqual(serial, parallel);
-}
-
-TEST_F(ParallelKernelTest, Conv1dBitwiseIdenticalAcrossThreadCounts) {
-  Rng rng(23);
-  Tensor x = Tensor::Randn({5, 4, 50}, rng);
-  Tensor w = Tensor::Randn({6, 4, 5}, rng);
-  Tensor bias = Tensor::Randn({6}, rng);
-  SetComputeThreads(1);
-  Tensor serial = Conv1d(x, w, bias, 2);
-  SetComputeThreads(4);
-  Tensor parallel = Conv1d(x, w, bias, 2);
-  ExpectBitwiseEqual(serial, parallel);
-}
-
-TEST_F(ParallelKernelTest, SoftmaxBitwiseIdenticalAcrossThreadCounts) {
-  Rng rng(24);
-  Tensor t = Tensor::Randn({64, 33}, rng);
-  SetComputeThreads(1);
-  Tensor serial = SoftmaxLastDim(t);
-  SetComputeThreads(4);
-  Tensor parallel = SoftmaxLastDim(t);
-  ExpectBitwiseEqual(serial, parallel);
-}
 
 }  // namespace
 }  // namespace imdiff

@@ -127,25 +127,6 @@ TEST(ThreadPoolTest, ParallelForInlineWithoutPool) {
   EXPECT_EQ(sum, 45);
 }
 
-TEST(ThreadPoolTest, ChunkedParallelForCoversRangeOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(
-      &pool, 1000, [&hits](size_t i) { hits[i].fetch_add(1); },
-      /*grain=*/64);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForRangeChunksAreDisjoint) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(500);
-  ParallelForRange(&pool, 500, 32, [&hits](size_t begin, size_t end) {
-    EXPECT_LT(begin, end);
-    for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-  });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
 // Regression: a throwing task used to escape WorkerLoop (std::terminate) and
 // skip the in-flight bookkeeping, deadlocking Wait(). Now the first exception
 // is rethrown from Wait() and the pool stays usable.
@@ -173,7 +154,7 @@ TEST(ThreadPoolTest, ParallelForRethrowsBodyException) {
                              if (i == 37) throw std::runtime_error("body boom");
                            }),
                std::runtime_error);
-  // The latch counted every chunk down and the pool stays usable.
+  // The latch counted every task down and the pool stays usable.
   std::atomic<int> after{0};
   ParallelFor(&pool, 10, [&after](size_t) { after.fetch_add(1); });
   EXPECT_EQ(after.load(), 10);
@@ -196,7 +177,7 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
 
 // Two external threads issuing ParallelFor on one pool concurrently: each
 // call waits on its own latch, so neither deadlocks nor returns before its
-// own chunks finish (the old global in-flight wait could do both).
+// own tasks finish (the old global in-flight wait could do both).
 TEST(ThreadPoolTest, ConcurrentParallelForFromTwoThreads) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> a(256), b(256);
